@@ -153,9 +153,7 @@ def _cmd_random_run(args) -> int:
         args.d, args.trials, args.seed, pgm_limit=args.pgm_limit
     )
     if args.esd_csv:
-        rng = np.random.default_rng([args.seed, 0])
-        sample = randlab.esd(randlab.random_protocol_ensemble(args.d, rng), seed=args.seed)
-        serialize.save_eigenvalues_csv(sample.eigenvalues, args.esd_csv)
+        serialize.save_eigenvalues_csv(stats.first_spectrum, args.esd_csv)
     _emit(
         {
             "d": stats.d,
@@ -192,11 +190,8 @@ def _cmd_random_mp(args) -> int:
         return 0
     xs = np.linspace(0.0, params.b, args.points)
     lines = ["x,density,cdf"]
-    for x in xs:
-        lines.append(
-            f"{float(x)!r},{randlab.mp_density(params, float(x))!r},"
-            f"{randlab.mp_cdf(params, float(x))!r}"
-        )
+    for x, cdf in zip(xs, randlab.mp_cdf(params, xs)):
+        lines.append(f"{float(x)!r},{randlab.mp_density(params, float(x))!r},{float(cdf)!r}")
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

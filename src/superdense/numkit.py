@@ -163,10 +163,18 @@ def spectral_decomposition(h, group_tol: float = DEFAULT_TOL,
 
 def _complement_basis(vectors: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal basis (columns) of the complement of span(columns), built
-    by Gram-Schmidt over the standard basis in index order."""
+    by Gram-Schmidt over the standard basis in index order.
+
+    Stops once n - (column count) vectors are found, checked before each
+    append: columns that already span C^n, even when not exactly
+    orthonormal, give an n x 0 basis.
+    """
     cols = [vectors[:, j] for j in range(vectors.shape[1])]
+    need = n - vectors.shape[1]
     out = []
     for k in range(n):
+        if len(out) >= need:
+            break
         w = np.zeros(n, dtype=complex)
         w[k] = 1.0
         for c in cols:
@@ -176,8 +184,6 @@ def _complement_basis(vectors: np.ndarray, n: int) -> np.ndarray:
         norm = np.linalg.norm(w)
         if norm > 1e-8:
             out.append(w / norm)
-        if len(out) == n - vectors.shape[1]:
-            break
     return np.column_stack(out) if out else np.zeros((n, 0), dtype=complex)
 
 

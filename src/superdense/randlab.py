@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.linalg import blas
 
 from . import numkit as nk
 from .protocol import StateEnsemble, pgm_success
@@ -36,6 +36,10 @@ class MPParams:
     """Marchenko-Pastur parameters for aspect ratio r."""
 
     r: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"Marchenko-Pastur ratio r must be finite and positive, got {self.r}")
 
     @property
     def a(self) -> float:
@@ -71,6 +75,7 @@ class ExperimentStats:
     hc_std: float
     max_eig_mean: float
     ks_distance: float
+    first_spectrum: tuple[float, ...]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,9 +104,12 @@ def random_protocol_ensemble(d: int, rng: np.random.Generator) -> StateEnsemble:
 def esd(e: StateEnsemble, seed: int = -1) -> ESDSample:
     """Eigenvalues of the unnormalized ensemble average Q = sum |psi><psi|."""
     kets = e.kets()
-    psi = np.column_stack(kets)
-    q = psi @ psi.conj().T
-    w = np.linalg.eigvalsh(q)[::-1]
+    # the kets are the rows of the stack, so its transpose is psi as an
+    # F-contiguous view that zherk reads without a copy; zherk fills only the
+    # lower triangle of Q, which is all eigvalsh reads with UPLO="L"
+    psi = np.stack(kets).T
+    q = blas.zherk(1.0, psi, lower=1)
+    w = np.linalg.eigvalsh(q, UPLO="L")[::-1]
     d = int(round(math.sqrt(psi.shape[0])))
     return ESDSample(d=d, n=len(kets), eigenvalues=tuple(float(x) for x in w), seed=seed)
 
@@ -113,33 +121,28 @@ def mp_density(p: MPParams, x: float) -> float:
     return math.sqrt((x - p.a) * (p.b - x)) / (2.0 * math.pi * p.r * x)
 
 
-def mp_cdf(p: MPParams, x: float) -> float:
-    """Cumulative distribution, atom at 0 included, by adaptive quadrature."""
-    if x < 0:
-        return 0.0
-    total = p.atom
-    if x > p.a:
-        upper = min(x, p.b)
-        val, _ = integrate.quad(lambda t: mp_density(p, t), p.a, upper, limit=200)
-        total += val
-    return min(total, 1.0)
+def mp_cdf(p: MPParams, x) -> np.ndarray:
+    """Cumulative distribution, atom at 0 included, in closed form.
 
-
-def _mp_cdf_at_sorted(p: MPParams, xs: np.ndarray) -> np.ndarray:
-    """cdf evaluated at ascending points, accumulating segment quadratures."""
-    out = np.empty(len(xs))
-    acc = 0.0
-    prev = p.a
-    for i, x in enumerate(xs):
-        if x <= p.a:
-            out[i] = p.atom if x >= 0 else 0.0
-            continue
-        upper = min(x, p.b)
-        if upper > prev:
-            seg, _ = integrate.quad(lambda t: mp_density(p, t), prev, upper, limit=200)
-            acc += seg
-            prev = upper
-        out[i] = min(p.atom + acc, 1.0)
+    `x` is a scalar or an array; the result has its shape.  On (a, b) the
+    continuous part integrates to
+    [R + m (atan2(x - m, R) + pi/2) - s (atan2(m x - a b, s R) + pi/2)] / (2 pi r)
+    with R = sqrt((x - a)(b - x)), m = 1 + r and s = |1 - r| = sqrt(a b); the
+    atan2 forms stay accurate next to the edges, where arcsin loses half its
+    digits.  For r = 1 this is (sqrt(x(4-x)) + 4 asin(sqrt(x)/2)) / (2 pi).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.where(x < 0, 0.0, np.where(x < p.b, p.atom, 1.0))
+    inside = (x > p.a) & (x < p.b)
+    t = x[inside]
+    m, s = 1.0 + p.r, abs(1.0 - p.r)
+    big_r = np.sqrt((t - p.a) * (p.b - t))
+    cont = (
+        big_r
+        + m * (np.arctan2(t - m, big_r) + math.pi / 2)
+        - s * (np.arctan2(m * t - s * s, s * big_r) + math.pi / 2)
+    )
+    out[inside] = np.minimum(p.atom + cont / (2.0 * math.pi * p.r), 1.0)
     return out
 
 
@@ -149,7 +152,7 @@ def kolmogorov_distance(s: ESDSample, p: MPParams) -> float:
         raise ValueError("empty sample")
     xs = np.sort(np.asarray(s.eigenvalues))
     n = len(xs)
-    ref = _mp_cdf_at_sorted(p, xs)
+    ref = mp_cdf(p, xs)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(ref - upper), np.abs(ref - lower))))
@@ -241,6 +244,8 @@ def distinguishability_experiment(
     a uniform pure ensemble equals (1/n) sum sqrt(lambda_i) of its Q matrix,
     so `hc` is computed from the spectrum; the PGM success probability costs
     an n x n square root and is only computed for d <= pgm_limit.
+    `first_spectrum` is trial 0's spectrum, kept so that writing it costs no
+    second draw.
     """
     if d < 2 or trials < 1:
         raise ValueError("need d >= 2 and at least one trial")
@@ -256,6 +261,8 @@ def distinguishability_experiment(
         maxes.append(sample.eigenvalues[0])
         pgms.append(pgm_success(ens) if d <= pgm_limit else None)
         pooled.extend(sample.eigenvalues)
+        if t == 0:
+            first_spectrum = sample.eigenvalues
     pooled_sample = ESDSample(d=d, n=len(pooled), eigenvalues=tuple(pooled), seed=seed)
     ks = kolmogorov_distance(pooled_sample, MPParams(r=1.0))
     return ExperimentStats(
@@ -270,4 +277,5 @@ def distinguishability_experiment(
         hc_std=float(np.std(hcs)),
         max_eig_mean=float(np.mean(maxes)),
         ks_distance=ks,
+        first_spectrum=first_spectrum,
     )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from superdense import bases, serialize
+from superdense import bases, randlab, serialize
 from superdense import protocol as pr
 from superdense import rigidity as rg
 from superdense.cli import main
@@ -87,6 +87,12 @@ class TestExitCodes:
         bad.write_text('{"d": 2')
         assert main(["basis", "check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_mp_nonpositive_ratio_is_usage_error(self, r, capsys):
+        assert main(["random", "mp", "--r", r]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite and positive" in err
+
 
 class TestDeterminism:
     def test_basis_build_bytes(self, tmp_path):
@@ -167,6 +173,14 @@ class TestFlows:
         assert stats["trials"] == 2 and len(stats["hc"]) == 2
         rows = (tmp_path / "esd.csv").read_text().splitlines()
         assert rows[0] == "eigenvalue" and len(rows) == 5  # d=2 -> 4 eigenvalues
+
+    def test_random_run_csv_is_trial_zero(self, tmp_path, capsys):
+        csv, ref = str(tmp_path / "esd.csv"), str(tmp_path / "ref.csv")
+        assert main(["random", "run", "--d", "8", "--trials", "3", "--seed", "11",
+                     "--esd-csv", csv]) == 0
+        ens = randlab.random_protocol_ensemble(8, np.random.default_rng([11, 0]))
+        serialize.save_eigenvalues_csv(randlab.esd(ens).eigenvalues, ref)
+        assert read(csv) == read(ref)
 
     def test_random_mp_table_and_ks(self, tmp_path, capsys):
         table = str(tmp_path / "mp.csv")

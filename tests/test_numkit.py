@@ -158,6 +158,18 @@ class TestPolarDecomposition:
             assert nk.is_psd(d, 1e-9)
 
 
+class TestComplementBasis:
+    def test_spanning_non_orthonormal_columns_leave_nothing(self):
+        # four columns spanning C^4, orthonormal only to 1e-6: each standard
+        # basis vector keeps a residual above the 1e-8 cut after projection,
+        # so a stop test made after the append returned four surplus vectors
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(random_matrix(rng, 4))
+        cols = q + 1e-6 * random_matrix(rng, 4)
+        assert nk._complement_basis(cols, 4).shape == (4, 0)
+        assert nk._complement_basis(cols[:, :2], 4).shape == (4, 2)
+
+
 class TestPsdSqrt:
     def test_diagonal(self):
         assert np.allclose(nk.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2, 3]))

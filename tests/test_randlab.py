@@ -85,6 +85,15 @@ class TestEsd:
         assert min(s.eigenvalues) > -1e-9
         assert list(s.eigenvalues) == sorted(s.eigenvalues, reverse=True)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_equals_full_product_gram(self, d):
+        # Q from zherk's lower triangle gives the spectrum of psi psi^H
+        # formed as a full product, bit for bit
+        ens = rl.random_protocol_ensemble(d, np.random.default_rng([17, d]))
+        psi = np.column_stack(ens.states)
+        expected = np.linalg.eigvalsh(psi @ psi.conj().T)[::-1]
+        assert rl.esd(ens).eigenvalues == tuple(float(x) for x in expected)
+
 
 class TestMarchenkoPastur:
     def test_density_value_r1(self):
@@ -116,6 +125,36 @@ class TestMarchenkoPastur:
         p = rl.MPParams(r=1.0)
         val, _ = integrate.quad(lambda x: math.sqrt(x) * rl.mp_density(p, x), 0, 4)
         assert val == pytest.approx(rl.EIGHT_OVER_3PI, abs=1e-9)
+
+    @pytest.mark.parametrize("r", [0.25, 1.0, 4.0])
+    def test_cdf_matches_quadrature(self, r):
+        from scipy import integrate
+
+        p = rl.MPParams(r=r)
+        xs = np.linspace(-0.5, p.b + 0.5, 301)
+        want = []
+        for x in xs:
+            total = 0.0 if x < 0 else p.atom
+            if x > p.a:
+                val, _ = integrate.quad(
+                    lambda t: rl.mp_density(p, t), p.a, min(x, p.b),
+                    limit=200, epsabs=1e-14, epsrel=1e-13,
+                )
+                total += val
+            want.append(total)
+        got = rl.mp_cdf(p, xs)
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - np.array(want))) <= 1e-10
+
+    def test_cdf_r1_closed_form(self):
+        xs = np.linspace(0.0, 4.0, 41)
+        oracle = (np.sqrt(xs * (4 - xs)) + 4 * np.arcsin(np.sqrt(xs) / 2)) / (2 * math.pi)
+        assert np.max(np.abs(rl.mp_cdf(rl.MPParams(r=1.0), xs) - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_invalid_ratio(self, r):
+        with pytest.raises(ValueError, match="finite and positive"):
+            rl.MPParams(r=r)
 
 
 class TestKolmogorov:
@@ -231,6 +270,14 @@ class TestExperiment:
     def test_pgm_gated_above_limit(self):
         st = rl.distinguishability_experiment(8, 1, seed=7, pgm_limit=4)
         assert st.pgm == (None,)
+
+    def test_first_spectrum_is_trial_zero(self):
+        st = rl.distinguishability_experiment(4, 3, seed=9)
+        trial0 = rl.esd(rl.random_protocol_ensemble(4, np.random.default_rng([9, 0])))
+        assert st.first_spectrum == trial0.eigenvalues
+        assert len(st.first_spectrum) == 16
+        assert st.max_eig[0] == st.first_spectrum[0]
+        assert st.hc[0] == rl.mean_sqrt_esd(trial0)
 
     def test_concentration_qualitative(self):
         stds = []

@@ -352,6 +352,21 @@ class TestCanonicalize:
             dec = rg.verify_decomposition(q, rg.canonicalize(q), tol=1e-7)
             assert dec.passed
 
+    def test_noisy_scramble_within_tolerance(self):
+        # 1e-6 encoder noise, made unitary again, leaves Bob's vectors
+        # spanning C^b without being exactly orthonormal
+        p, _ = pr.random_scrambled_bw(np.random.default_rng([5, 0]), 3, 3, 2)
+        rng = np.random.default_rng([6, 0])
+        encoders = tuple(
+            nk.polar_decomposition(u + 1e-6 * (rng.standard_normal(u.shape)
+                                               + 1j * rng.standard_normal(u.shape)))[1]
+            for u in p.encoders
+        )
+        q = pr.Protocol(p.dim_a_prime, p.dim_a_dbl, p.dim_b, p.tau, encoders)
+        dec = rg.canonicalize(q, tol=1e-5)
+        rep = rg.verify_decomposition(q, dec, tol=1e-5)
+        assert rep.passed, (rep.state_residual, rep.encoder_residuals)
+
 
 class TestVerifyDecomposition:
     def test_planted_verifies(self):
