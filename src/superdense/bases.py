@@ -21,6 +21,10 @@ KIND_DISTINCT_COUNT = "distinct-count"
 KIND_PROJECTIVE = "projective-noncommutativity"
 
 
+class InvalidBasisError(ValueError):
+    """The input is not an orthogonal unitary basis within tolerance."""
+
+
 @dataclass(frozen=True)
 class UnitaryBasis:
     d: int
@@ -259,12 +263,17 @@ def verify_orthogonal_unitary_basis(b: UnitaryBasis, tol: float = nk.DEFAULT_TOL
     )
 
 
-def _distinct_count(values: np.ndarray, tol: float) -> int:
-    reps: list[complex] = []
-    for v in values:
-        if all(abs(v - r) > tol for r in reps):
-            reps.append(complex(v))
-    return len(reps)
+def _distinct_counts(w: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy distinct-value count of each row of w.
+
+    Slot a is a new representative iff it is farther than tol from every
+    earlier representative of its row.
+    """
+    rep = np.ones(w.shape, dtype=bool)
+    for a in range(1, w.shape[1]):
+        far = np.abs(w[:, a : a + 1] - w[:, :a]) > tol
+        rep[:, a] = np.all(far | ~rep[:, :a], axis=1)
+    return rep.sum(axis=1)
 
 
 def certify_not_clock_shift(
@@ -290,31 +299,42 @@ def certify_not_clock_shift(
     hence commute up to a phase; a pair with a commutator defect rules
     equivalence out.
 
+    Pairs (i, j), i < j, are scanned one row i at a time.  Each witness is
+    the first pair in that order (for T2 and T3, the first strict maximum).
+    The T1/T2 scan stops once T1 has a witness and some pair reaches d
+    distinct eigenvalues, since no later pair can change either result.
+
     An empty result is NOT a proof of equivalence.
     """
+    if b.d < 2:
+        raise ValueError(f"certify_not_clock_shift needs d >= 2, got d = {b.d}")
     report = verify_orthogonal_unitary_basis(b, max(tol, 1e-8))
     if not report.passed:
-        raise ValueError("certify_not_clock_shift requires a valid orthogonal unitary basis")
+        raise InvalidBasisError(
+            "certify_not_clock_shift requires a valid orthogonal unitary basis"
+        )
     d = b.d
     n = len(b.elements)
+    e = np.stack(b.elements)
     certificates: list[NonEquivalenceCertificate] = []
 
     ratio_witness = None
     max_distinct = 0
     max_distinct_witness = (0, 0)
-    for i in range(n):
-        ai = b.elements[i].conj().T
-        for j in range(i + 1, n):
-            w = np.linalg.eigvals(ai @ b.elements[j])
-            count = _distinct_count(w, max(tol * 10, 1e-7))
-            if count > max_distinct:
-                max_distinct, max_distinct_witness = count, (i, j)
-            if ratio_witness is None:
-                ratios = np.divide.outer(w, w)
-                bad = np.abs(ratios**d - 1.0) > tol * d
-                if bad.any():
-                    p, q = np.argwhere(bad)[0]
-                    ratio_witness = ((i, j), complex(ratios[p, q]))
+    for i in range(n - 1):
+        if ratio_witness is not None and max_distinct == d:
+            break
+        w = np.linalg.eigvals(e[i].conj().T @ e[i + 1 :])
+        counts = _distinct_counts(w, max(tol * 10, 1e-7))
+        k = int(np.argmax(counts))
+        if counts[k] > max_distinct:
+            max_distinct, max_distinct_witness = int(counts[k]), (i, i + 1 + k)
+        if ratio_witness is None:
+            ratios = w[:, :, None] / w[:, None, :]
+            bad = np.abs(ratios**d - 1.0) > tol * d
+            if bad.any():
+                k, p, q = np.argwhere(bad)[0]
+                ratio_witness = ((i, i + 1 + int(k)), complex(ratios[k, p, q]))
     if ratio_witness is not None:
         certificates.append(
             NonEquivalenceCertificate(
@@ -332,19 +352,20 @@ def certify_not_clock_shift(
             )
         )
 
-    anchor = b.elements[0].conj().T
-    products = [e @ anchor for e in b.elements]
+    g = e @ e[0].conj().T
+    gh = g.conj().transpose(0, 2, 1)
     eye = np.eye(d)
     comm_witness = None
     worst = 0.0
-    for i in range(n):
-        gi = products[i]
-        for j in range(i + 1, n):
-            gj = products[j]
-            comm = gi @ gj @ gi.conj().T @ gj.conj().T
-            defect = float(np.linalg.norm(comm - (np.trace(comm) / d) * eye))
-            if defect > worst:
-                worst, comm_witness = defect, (0, i, j)
+    for i in range(n - 1):
+        comm = g[i] @ g[i + 1 :] @ gh[i] @ gh[i + 1 :]
+        scalar = np.trace(comm, axis1=1, axis2=2) / d
+        f = (comm - scalar[:, None, None] * eye).reshape(len(comm), -1)
+        # the formula np.linalg.norm uses on one complex matrix, row by row
+        defects = np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+        k = int(np.argmax(defects))
+        if defects[k] > worst:
+            worst, comm_witness = float(defects[k]), (0, i, i + 1 + k)
     if worst > tol * d:
         certificates.append(
             NonEquivalenceCertificate(

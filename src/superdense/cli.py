@@ -77,7 +77,7 @@ def _cmd_basis_certify(args) -> int:
     basis = serialize.load_basis(args.input)
     try:
         certs = bases.certify_not_clock_shift(basis, args.tol)
-    except ValueError as exc:
+    except bases.InvalidBasisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc = {

@@ -72,6 +72,11 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _is_positive_int(val: Any) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+
+
 def save_basis(b: UnitaryBasis, path: str) -> None:
     doc = {"d": b.d, "elements": [matrix_to_json(e) for e in b.elements]}
     if b.labels is not None:
@@ -82,12 +87,17 @@ def save_basis(b: UnitaryBasis, path: str) -> None:
 def load_basis(path: str) -> UnitaryBasis:
     doc = _load_json(path)
     d = _require(doc, "d", path)
-    if not isinstance(d, int) or d < 1:
+    if not _is_positive_int(d):
         raise SerializationError(path, "d", f"expected a positive integer, got {d!r}")
     elements = [
         matrix_from_json(e, path, f"elements[{k}]")
         for k, e in enumerate(_require(doc, "elements", path))
     ]
+    for k, e in enumerate(elements):
+        if e.shape != (d, d):
+            raise SerializationError(
+                path, f"elements[{k}]", f"shape {e.shape} is not {d}x{d}"
+            )
     labels = doc.get("labels")
     try:
         return UnitaryBasis(
@@ -113,7 +123,7 @@ def load_protocol(path: str) -> Protocol:
     dims = {}
     for key in ("dim_a_prime", "dim_a_dbl", "dim_b"):
         val = _require(doc, key, path)
-        if not isinstance(val, int) or val < 1:
+        if not _is_positive_int(val):
             raise SerializationError(path, key, f"expected a positive integer, got {val!r}")
         dims[key] = val
     tau = matrix_from_json(_require(doc, "tau", path), path, "tau")

@@ -18,6 +18,67 @@ def kinds(certs):
     return sorted(c.kind for c in certs)
 
 
+def reference_certify(b, tol=nk.DEFAULT_TOL):
+    """The per-pair loop that certify_not_clock_shift replaced, kept as its reference."""
+    d, n = b.d, len(b.elements)
+    out = []
+
+    def distinct_count(values, tol):
+        reps = []
+        for v in values:
+            if all(abs(v - r) > tol for r in reps):
+                reps.append(complex(v))
+        return len(reps)
+
+    ratio_witness, max_distinct, max_distinct_witness = None, 0, (0, 0)
+    for i in range(n):
+        ai = b.elements[i].conj().T
+        for j in range(i + 1, n):
+            w = np.linalg.eigvals(ai @ b.elements[j])
+            count = distinct_count(w, max(tol * 10, 1e-7))
+            if count > max_distinct:
+                max_distinct, max_distinct_witness = count, (i, j)
+            if ratio_witness is None:
+                ratios = np.divide.outer(w, w)
+                bad = np.abs(ratios**d - 1.0) > tol * d
+                if bad.any():
+                    p, q = np.argwhere(bad)[0]
+                    ratio_witness = ((i, j), complex(ratios[p, q]))
+    if ratio_witness is not None:
+        out.append((bases.KIND_EIGENVALUE_RATIO, *ratio_witness))
+    if max_distinct < d:
+        out.append((bases.KIND_DISTINCT_COUNT, max_distinct_witness, max_distinct))
+
+    anchor = b.elements[0].conj().T
+    products = [e @ anchor for e in b.elements]
+    eye = np.eye(d)
+    comm_witness, worst = None, 0.0
+    for i in range(n):
+        gi = products[i]
+        for j in range(i + 1, n):
+            gj = products[j]
+            comm = gi @ gj @ gi.conj().T @ gj.conj().T
+            defect = float(np.linalg.norm(comm - (np.trace(comm) / d) * eye))
+            if defect > worst:
+                worst, comm_witness = defect, (0, i, j)
+    if worst > tol * d:
+        out.append((bases.KIND_PROJECTIVE, comm_witness, worst))
+    return [(kind, witness, repr(value)) for kind, witness, value in out]
+
+
+def certificate_list(certs):
+    return [(c.kind, c.witness, repr(c.witness_value)) for c in certs]
+
+
+def criterion2_bases():
+    """Criterion 2's battery at d <= 8."""
+    out = [(f"clock-shift-{d}", bases.clock_shift_basis(d)) for d in range(2, 9)]
+    out += [(f"matching-{d}", bases.matching_basis(d)) for d in range(5, 9)]
+    out += [(f"pauli-tensor-{d}", bases.pauli_tensor_basis(d)) for d in (4, 8)]
+    out.append(("werner3", bases.werner3_basis(np.exp(1j * np.pi / 3))))
+    return out
+
+
 class TestClockShift:
     def test_d2_is_pauli_family(self):
         b = bases.clock_shift_basis(2)
@@ -274,3 +335,54 @@ class TestCertify:
         broken = bases.UnitaryBasis(d=2, elements=(2 * ID2, PAULI_Z, PAULI_X, PAULI_Y))
         with pytest.raises(ValueError):
             bases.certify_not_clock_shift(broken)
+
+    def test_rejects_dimension_one(self):
+        # a lone 1x1 unitary is a valid basis, but it has no pairs to certify
+        b = bases.UnitaryBasis(d=1, elements=(np.eye(1, dtype=complex),))
+        assert bases.verify_orthogonal_unitary_basis(b).passed
+        with pytest.raises(ValueError, match="d >= 2"):
+            bases.certify_not_clock_shift(b)
+
+
+class TestCertifyMatchesReference:
+    """The row-block scan returns exactly what the per-pair loop returned."""
+
+    @pytest.mark.parametrize("b", [pytest.param(b, id=name) for name, b in criterion2_bases()])
+    def test_criterion2_bases(self, b):
+        got = certificate_list(bases.certify_not_clock_shift(b))
+        assert got == reference_certify(b)
+        assert all(type(i) is int for _, witness, _ in got for i in witness)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_under_random_equivalence(self, seed):
+        for k, (name, b) in enumerate(criterion2_bases()):
+            rng = np.random.default_rng([seed, k])
+            v, w = haar(b.d, rng), haar(b.d, rng)
+            phases = np.exp(2j * np.pi * rng.random(len(b.elements)))
+            moved = bases.apply_basis_equivalence(b, phases, v, w)
+            got = certificate_list(bases.certify_not_clock_shift(moved))
+            assert got == reference_certify(moved), name
+
+    @pytest.mark.parametrize(
+        "b,rows",
+        [
+            (bases.matching_basis(7), 1),
+            (bases.clock_shift_basis(4), 15),
+            (bases.pauli_tensor_basis(4), 15),
+        ],
+        ids=["matching-7", "clock-shift-4", "pauli-tensor-4"],
+    )
+    def test_eigenvalue_scan_stops_once_settled(self, monkeypatch, b, rows):
+        # matching bases settle T1 and T2 on row 0; the other two never fire T1
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        certs = bases.certify_not_clock_shift(b)
+        monkeypatch.undo()
+        assert len(calls) == rows
+        assert certificate_list(certs) == reference_certify(b)

@@ -87,6 +87,54 @@ class TestExitCodes:
         bad.write_text('{"d": 2')
         assert main(["basis", "check", str(bad)]) == 2
 
+    def test_certify_invalid_basis_is_verification_failure(self, tmp_path, capsys):
+        path = str(tmp_path / "b.json")
+        assert main(["basis", "build", "--kind", "clock-shift", "--d", "3", "-o", path]) == 0
+        doc = json.loads((tmp_path / "b.json").read_text())
+        doc["elements"][1] = doc["elements"][0]
+        (tmp_path / "dup.json").write_text(json.dumps(doc))
+        assert main(["basis", "certify", str(tmp_path / "dup.json")]) == 1
+        assert "valid orthogonal unitary basis" in capsys.readouterr().err
+
+    def test_certify_dimension_one_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "d1.json"
+        path.write_text('{"d": 1, "elements": [[[[1.0, 0.0]]]]}')
+        assert main(["basis", "check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["basis", "certify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "d >= 2" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    def test_element_shape_is_usage_error(self, command, tmp_path, capsys):
+        eye3 = [[[1.0 if r == c else 0.0, 0.0] for c in range(3)] for r in range(3)]
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"d": 2, "elements": [eye3] * 4}))
+        assert main(["basis", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "elements[0]" in err and "broadcast" not in err
+
+    def test_boolean_dimension_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text('{"d": true, "elements": [[[[1.0, 0.0]]]]}')
+        assert main(["basis", "certify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'d'" in err
+
+    @pytest.mark.parametrize("key", ["dim_a_prime", "dim_a_dbl", "dim_b"])
+    def test_boolean_protocol_dimension_is_usage_error(self, key, tmp_path, capsys):
+        path = str(tmp_path / "p.json")
+        serialize.save_protocol(pr.bennett_wiesner(), path)
+        assert main(["protocol", "verify", path]) == 0
+        doc = json.loads(read(path))
+        doc[key] = True
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["protocol", "verify", str(tmp_path / "bad.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     def test_mp_nonpositive_ratio_is_usage_error(self, r, capsys):
         assert main(["random", "mp", "--r", r]) == 2
