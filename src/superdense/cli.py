@@ -10,6 +10,7 @@ across runs of the same build.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,13 +21,25 @@ from . import bases, randlab, rigidity, serialize
 from . import protocol as protocol_mod
 
 
-def _emit(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=1)
+def _write_text(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _json_default(obj):
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _emit(doc, out_path: str | None) -> None:
+    """Write a JSON document (a dataclass becomes its field dict)."""
+    if dataclasses.is_dataclass(doc):
+        doc = dataclasses.asdict(doc)
+    _write_text(json.dumps(doc, indent=1, default=_json_default) + "\n", out_path)
 
 
 def _build_basis(args) -> bases.UnitaryBasis:
@@ -42,34 +55,14 @@ def _build_basis(args) -> bases.UnitaryBasis:
 
 
 def _cmd_basis_build(args) -> int:
-    basis = _build_basis(args)
-    if args.output:
-        serialize.save_basis(basis, args.output)
-    else:
-        _emit(
-            {
-                "d": basis.d,
-                "elements": [serialize.matrix_to_json(e) for e in basis.elements],
-                **({"labels": list(basis.labels)} if basis.labels else {}),
-            },
-            None,
-        )
+    _emit(serialize.basis_to_json(_build_basis(args)), args.output)
     return 0
 
 
 def _cmd_basis_check(args) -> int:
     basis = serialize.load_basis(args.input)
     report = bases.verify_orthogonal_unitary_basis(basis, args.tol)
-    _emit(
-        {
-            "passed": report.passed,
-            "element_count_ok": report.element_count_ok,
-            "max_unitarity_violation": report.max_unitarity_violation,
-            "max_orthogonality_violation": report.max_orthogonality_violation,
-            "tol": report.tol,
-        },
-        args.output,
-    )
+    _emit(report, args.output)
     return 0 if report.passed else 1
 
 
@@ -80,21 +73,7 @@ def _cmd_basis_certify(args) -> int:
     except bases.InvalidBasisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc = {
-        "certificates": [
-            {
-                "kind": c.kind,
-                "witness": list(c.witness),
-                "witness_value": (
-                    [c.witness_value.real, c.witness_value.imag]
-                    if isinstance(c.witness_value, complex)
-                    else c.witness_value
-                ),
-            }
-            for c in certs
-        ]
-    }
-    _emit(doc, args.output)
+    _emit({"certificates": [dataclasses.asdict(c) for c in certs]}, args.output)
     return 0
 
 
@@ -112,16 +91,7 @@ def _cmd_protocol_scramble(args) -> int:
 def _cmd_protocol_verify(args) -> int:
     proto = serialize.load_protocol(args.input)
     report = protocol_mod.verify_errorless(proto, args.tol)
-    _emit(
-        {
-            "passed": report.passed,
-            "max_state_overlap": report.max_state_overlap,
-            "worst_pair": list(report.worst_pair),
-            "max_operator_violation": report.max_operator_violation,
-            "tol": report.tol,
-        },
-        args.output,
-    )
+    _emit(report, args.output)
     return 0 if report.passed else 1
 
 
@@ -129,22 +99,13 @@ def _cmd_protocol_canonicalize(args) -> int:
     proto = serialize.load_protocol(args.input)
     try:
         dec = rigidity.canonicalize(proto, args.tol)
-    except (rigidity.NiceFormError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: canonicalization failed: {exc}", file=sys.stderr)
         return 1
     report = rigidity.verify_decomposition(proto, dec, args.tol)
     if args.output:
         serialize.save_decomposition(dec, args.output)
-    print(
-        json.dumps(
-            {
-                "passed": report.passed,
-                "state_residual": report.state_residual,
-                "encoder_residuals": list(report.encoder_residuals),
-            },
-            indent=1,
-        )
-    )
+    _emit(report, None)
     return 0 if report.passed else 1
 
 
@@ -154,23 +115,9 @@ def _cmd_random_run(args) -> int:
     )
     if args.esd_csv:
         serialize.save_eigenvalues_csv(stats.first_spectrum, args.esd_csv)
-    _emit(
-        {
-            "d": stats.d,
-            "trials": stats.trials,
-            "seed": stats.seed,
-            "hc": list(stats.hc),
-            "pgm": list(stats.pgm),
-            "mean_sqrt_eig": list(stats.mean_sqrt_eig),
-            "max_eig": list(stats.max_eig),
-            "hc_mean": stats.hc_mean,
-            "hc_std": stats.hc_std,
-            "max_eig_mean": stats.max_eig_mean,
-            "ks_distance": stats.ks_distance,
-            "limit_8_over_3pi": randlab.EIGHT_OVER_3PI,
-        },
-        args.output,
-    )
+    doc = dataclasses.asdict(stats)
+    del doc["first_spectrum"]
+    _emit({**doc, "limit_8_over_3pi": randlab.EIGHT_OVER_3PI}, args.output)
     return 0
 
 
@@ -178,12 +125,11 @@ def _cmd_random_mp(args) -> int:
     params = randlab.MPParams(r=args.r)
     if args.esd_csv:
         eigenvalues = serialize.load_eigenvalues_csv(args.esd_csv)
-        sample = randlab.ESDSample(d=0, n=len(eigenvalues), eigenvalues=tuple(eigenvalues))
         _emit(
             {
                 "r": args.r,
                 "n": len(eigenvalues),
-                "ks_distance": randlab.kolmogorov_distance(sample, params),
+                "ks_distance": randlab.kolmogorov_distance(eigenvalues, params),
             },
             args.output,
         )
@@ -192,12 +138,7 @@ def _cmd_random_mp(args) -> int:
     lines = ["x,density,cdf"]
     for x, cdf in zip(xs, randlab.mp_cdf(params, xs)):
         lines.append(f"{float(x)!r},{randlab.mp_density(params, float(x))!r},{float(cdf)!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -293,10 +234,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except serialize.SerializationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # SerializationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -235,6 +235,18 @@ def max_entangled(d: int) -> np.ndarray:
     return ket
 
 
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
+    triangular factor's diagonal phases normalized away (Mezzadri,
+    arXiv:math-ph/0609050)."""
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr(a^* b)."""
     a, b = _as_matrix(a), _as_matrix(b)

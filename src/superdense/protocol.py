@@ -68,18 +68,16 @@ class StateEnsemble:
     def is_uniform(self, tol: float = 1e-12) -> bool:
         return all(abs(p - 1.0 / len(self)) <= tol for p in self.probs)
 
-    def kets(self, tol: float = nk.DEFAULT_TOL) -> list[np.ndarray]:
-        """Pure-state vectors; raises if some member is mixed beyond tol."""
-        out = []
-        for s in self.states:
-            if s.ndim == 1:
-                out.append(s)
-                continue
-            w, v = np.linalg.eigh(s)
-            if w[:-1].max(initial=0.0) > tol or abs(w[-1] - 1.0) > max(tol, 1e-8):
-                raise ValueError("ensemble member is not a pure unit state")
-            out.append(v[:, -1])
-        return out
+    @property
+    def pure(self) -> bool:
+        """Every member is a 1-D ket; a density matrix, even of rank 1, is not."""
+        return all(s.ndim == 1 for s in self.states)
+
+    def kets(self) -> tuple[np.ndarray, ...]:
+        """The members of a pure ensemble; raises ValueError otherwise."""
+        if not self.pure:
+            raise ValueError("ensemble members are density matrices, not kets")
+        return self.states
 
     def validate(self, tol: float = nk.DEFAULT_TOL) -> None:
         if any(p < -tol for p in self.probs):
@@ -198,12 +196,8 @@ def verify_errorless(p: Protocol, tol: float = nk.DEFAULT_TOL) -> ErrorlessRepor
 
 def hc_quantity(e: StateEnsemble) -> float:
     """Holevo-Curlander scalar Tr sqrt(sum_i p_i^2 rho_i^2)."""
-    try:
-        kets = e.kets()
-    except ValueError:
-        kets = None
-    if kets is not None:
-        psi = np.column_stack(kets)
+    if e.pure:
+        psi = np.column_stack(e.states)
         dp = np.asarray(e.probs)
         g = (psi.conj().T @ psi) * np.outer(dp, dp)
         w = np.linalg.eigvalsh((g + g.conj().T) / 2)
@@ -219,15 +213,14 @@ def hc_quantity(e: StateEnsemble) -> float:
 def pgm_success(e: StateEnsemble, tol: float = nk.DEFAULT_TOL) -> float:
     """Success probability of the square-root measurement.
 
-    Defined for uniform ensembles of pure states; computed from the Gram
+    Defined for uniform ensembles of kets; computed from the Gram
     matrix G of the state vectors as (1/m) sum_i ((sqrt G)_{ii})^2.  The PGM
     is an actual measurement, so this is always a lower bound on the
     ensemble's distinguishability.
     """
     if not e.is_uniform(max(tol, 1e-10)):
         raise ValueError("pgm_success requires a uniform ensemble")
-    kets = e.kets(tol)
-    psi = np.column_stack(kets)
+    psi = np.column_stack(e.kets())
     g = psi.conj().T @ psi
     root = nk.psd_sqrt(g, max(tol, 1e-8))
     return float(np.sum(np.abs(np.diag(root)) ** 2) / len(e))
@@ -236,18 +229,15 @@ def pgm_success(e: StateEnsemble, tol: float = nk.DEFAULT_TOL) -> float:
 def distinguishability_bounds(e: StateEnsemble, tol: float = nk.DEFAULT_TOL):
     """Computable sandwich around the ensemble's distinguishability.
 
-    Returns (lower, upper) = (max(pgm, 2 hc - 1), hc).  The exact value is a
-    semidefinite program and is deliberately not computed; the PGM is an
-    achievable measurement and the Holevo-Curlander scalar bounds from both
-    sides.
+    Returns (lower, upper) = (max(pgm, 2 hc - 1), hc); the PGM enters only
+    for uniform ensembles of kets.  The exact value is a semidefinite program
+    and is deliberately not computed; the PGM is an achievable measurement and
+    the Holevo-Curlander scalar bounds from both sides.
     """
     hc = hc_quantity(e)
     lower = 2.0 * hc - 1.0
-    if e.is_uniform(max(tol, 1e-10)):
-        try:
-            lower = max(lower, pgm_success(e, tol))
-        except ValueError:
-            pass  # mixed members: the PGM lower bound is not computed
+    if e.pure and e.is_uniform(max(tol, 1e-10)):
+        lower = max(lower, pgm_success(e, tol))
     return lower, hc
 
 
@@ -278,12 +268,6 @@ def apply_local_equivalence(p: Protocol, v, c, w) -> Protocol:
             raise ValueError(f"corrections must act on A', shape {(a1, a1)}")
         encoders.append(np.kron(ci, eye_d) @ u @ v.conj().T)
     return Protocol(a1, d, b, tau, tuple(encoders))
-
-
-def _haar(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _split_sizes(total: int, parts: int) -> list[int]:
@@ -320,7 +304,7 @@ def random_scrambled_bw(
 
     a_sizes = _split_sizes(a1, blocks)
     b_sizes = _split_sizes(b1, blocks)
-    q_basis = np.eye(a1, dtype=complex) if trivial else _haar(a1, rng)
+    q_basis = np.eye(a1, dtype=complex) if trivial else nk.haar_unitary(a1, rng)
     weights = np.full(blocks, 1.0 / blocks) if trivial else rng.dirichlet(np.ones(blocks))
 
     p_projs, s_rots = [], []
@@ -330,7 +314,7 @@ def random_scrambled_bw(
         qa = q_basis[:, a_off : a_off + a_sizes[r]]
         eb = np.eye(b1, dtype=complex)[:, b_off : b_off + b_sizes[r]]
         p_projs.append(qa @ qa.conj().T)
-        s_rots.append(np.eye(2, dtype=complex) if trivial else _haar(2, rng))
+        s_rots.append(np.eye(2, dtype=complex) if trivial else nk.haar_unitary(2, rng))
         m = a_sizes[r] * b_sizes[r]
         if trivial:
             small = np.eye(m, dtype=complex) / m
@@ -343,9 +327,9 @@ def random_scrambled_bw(
         a_off += a_sizes[r]
         b_off += b_sizes[r]
 
-    cs = [np.eye(a1, dtype=complex) if trivial else _haar(a1, rng) for _ in range(4)]
-    v = np.eye(2 * a1, dtype=complex) if trivial else _haar(2 * a1, rng)
-    w = np.eye(2 * b1, dtype=complex) if trivial else _haar(2 * b1, rng)
+    cs = [np.eye(a1, dtype=complex) if trivial else nk.haar_unitary(a1, rng) for _ in range(4)]
+    v = np.eye(2 * a1, dtype=complex) if trivial else nk.haar_unitary(2 * a1, rng)
+    w = np.eye(2 * b1, dtype=complex) if trivial else nk.haar_unitary(2 * b1, rng)
 
     epr = nk.max_entangled(2)
     product = nk.tensor(rho, np.outer(epr, epr.conj()))

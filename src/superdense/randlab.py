@@ -16,19 +16,10 @@ import numpy as np
 from scipy.linalg import blas
 
 from . import numkit as nk
+from .numkit import haar_unitary
 from .protocol import StateEnsemble, pgm_success
 
 EIGHT_OVER_3PI = 8.0 / (3.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class ESDSample:
-    """Spectrum of Q = sum_i |psi_i><psi_i|, sorted descending."""
-
-    d: int
-    n: int
-    eigenvalues: tuple[float, ...]
-    seed: int = -1
 
 
 @dataclass(frozen=True)
@@ -69,24 +60,12 @@ class ExperimentStats:
     seed: int
     hc: tuple[float, ...]
     pgm: tuple[float | None, ...]
-    mean_sqrt_eig: tuple[float, ...]
     max_eig: tuple[float, ...]
     hc_mean: float
     hc_std: float
     max_eig_mean: float
     ks_distance: float
     first_spectrum: tuple[float, ...]
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    triangular factor's diagonal phases normalized away."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
 
 
 def random_protocol_ensemble(d: int, rng: np.random.Generator) -> StateEnsemble:
@@ -101,17 +80,15 @@ def random_protocol_ensemble(d: int, rng: np.random.Generator) -> StateEnsemble:
     return StateEnsemble(probs=(1.0 / n,) * n, states=kets)
 
 
-def esd(e: StateEnsemble, seed: int = -1) -> ESDSample:
-    """Eigenvalues of the unnormalized ensemble average Q = sum |psi><psi|."""
-    kets = e.kets()
+def esd(e: StateEnsemble) -> np.ndarray:
+    """Eigenvalues of the unnormalized ensemble average Q = sum |psi><psi|,
+    sorted descending."""
     # the kets are the rows of the stack, so its transpose is psi as an
     # F-contiguous view that zherk reads without a copy; zherk fills only the
     # lower triangle of Q, which is all eigvalsh reads with UPLO="L"
-    psi = np.stack(kets).T
+    psi = np.stack(e.kets()).T
     q = blas.zherk(1.0, psi, lower=1)
-    w = np.linalg.eigvalsh(q, UPLO="L")[::-1]
-    d = int(round(math.sqrt(psi.shape[0])))
-    return ESDSample(d=d, n=len(kets), eigenvalues=tuple(float(x) for x in w), seed=seed)
+    return np.linalg.eigvalsh(q, UPLO="L")[::-1].copy()
 
 
 def mp_density(p: MPParams, x: float) -> float:
@@ -146,25 +123,25 @@ def mp_cdf(p: MPParams, x) -> np.ndarray:
     return out
 
 
-def kolmogorov_distance(s: ESDSample, p: MPParams) -> float:
+def kolmogorov_distance(eigenvalues, p: MPParams) -> float:
     """Two-sided one-sample Kolmogorov statistic at the sample points."""
-    if not s.eigenvalues:
+    xs = np.sort(np.asarray(eigenvalues, dtype=float))
+    n = xs.size
+    if n == 0:
         raise ValueError("empty sample")
-    xs = np.sort(np.asarray(s.eigenvalues))
-    n = len(xs)
     ref = mp_cdf(p, xs)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(ref - upper), np.abs(ref - lower))))
 
 
-def mean_sqrt_esd(s: ESDSample, tol: float = nk.DEFAULT_TOL) -> float:
+def mean_sqrt_esd(eigenvalues, tol: float = nk.DEFAULT_TOL) -> float:
     """(1/n) sum_i sqrt(lambda_i); equals the Holevo-Curlander scalar of the
     underlying uniform pure ensemble."""
-    w = np.asarray(s.eigenvalues)
+    w = np.asarray(eigenvalues, dtype=float)
     if w.min(initial=0.0) < -tol:
         raise ValueError(f"negative eigenvalue {w.min()} in ESD sample")
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum() / s.n)
+    return float(np.sqrt(np.clip(w, 0.0, None)).sum() / w.size)
 
 
 def _swap_operator(d: int) -> np.ndarray:
@@ -249,33 +226,26 @@ def distinguishability_experiment(
     """
     if d < 2 or trials < 1:
         raise ValueError("need d >= 2 and at least one trial")
-    hcs, pgms, means, maxes = [], [], [], []
-    pooled: list[float] = []
+    hcs, pgms, maxes, spectra = [], [], [], []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         ens = random_protocol_ensemble(d, rng)
-        sample = esd(ens, seed=seed)
-        val = mean_sqrt_esd(sample)
-        hcs.append(val)
-        means.append(val)
-        maxes.append(sample.eigenvalues[0])
+        w = esd(ens)
+        hcs.append(mean_sqrt_esd(w))
+        maxes.append(float(w[0]))
         pgms.append(pgm_success(ens) if d <= pgm_limit else None)
-        pooled.extend(sample.eigenvalues)
-        if t == 0:
-            first_spectrum = sample.eigenvalues
-    pooled_sample = ESDSample(d=d, n=len(pooled), eigenvalues=tuple(pooled), seed=seed)
-    ks = kolmogorov_distance(pooled_sample, MPParams(r=1.0))
+        spectra.append(w)
+    ks = kolmogorov_distance(np.concatenate(spectra), MPParams(r=1.0))
     return ExperimentStats(
         d=d,
         trials=trials,
         seed=seed,
         hc=tuple(hcs),
         pgm=tuple(pgms),
-        mean_sqrt_eig=tuple(means),
         max_eig=tuple(maxes),
         hc_mean=float(np.mean(hcs)),
         hc_std=float(np.std(hcs)),
         max_eig_mean=float(np.mean(maxes)),
         ks_distance=ks,
-        first_spectrum=first_spectrum,
+        first_spectrum=tuple(float(x) for x in spectra[0]),
     )

@@ -77,11 +77,22 @@ def _is_positive_int(val: Any) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= 1
 
 
-def save_basis(b: UnitaryBasis, path: str) -> None:
+def _require_list(doc: dict, key: str, path: str) -> list:
+    val = _require(doc, key, path)
+    if not isinstance(val, list):
+        raise SerializationError(path, key, f"expected a JSON list, got {type(val).__name__}")
+    return val
+
+
+def basis_to_json(b: UnitaryBasis) -> dict:
     doc = {"d": b.d, "elements": [matrix_to_json(e) for e in b.elements]}
     if b.labels is not None:
         doc["labels"] = list(b.labels)
-    _dump_json(doc, path)
+    return doc
+
+
+def save_basis(b: UnitaryBasis, path: str) -> None:
+    _dump_json(basis_to_json(b), path)
 
 
 def load_basis(path: str) -> UnitaryBasis:
@@ -91,7 +102,7 @@ def load_basis(path: str) -> UnitaryBasis:
         raise SerializationError(path, "d", f"expected a positive integer, got {d!r}")
     elements = [
         matrix_from_json(e, path, f"elements[{k}]")
-        for k, e in enumerate(_require(doc, "elements", path))
+        for k, e in enumerate(_require_list(doc, "elements", path))
     ]
     for k, e in enumerate(elements):
         if e.shape != (d, d):
@@ -99,6 +110,10 @@ def load_basis(path: str) -> UnitaryBasis:
                 path, f"elements[{k}]", f"shape {e.shape} is not {d}x{d}"
             )
     labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise SerializationError(path, "labels", f"expected a JSON list of strings, got {labels!r}")
     try:
         return UnitaryBasis(
             d=d, elements=tuple(elements), labels=tuple(labels) if labels else None
@@ -129,12 +144,17 @@ def load_protocol(path: str) -> Protocol:
     tau = matrix_from_json(_require(doc, "tau", path), path, "tau")
     encoders = tuple(
         matrix_from_json(u, path, f"encoders[{k}]")
-        for k, u in enumerate(_require(doc, "encoders", path))
+        for k, u in enumerate(_require_list(doc, "encoders", path))
     )
     p = Protocol(dims["dim_a_prime"], dims["dim_a_dbl"], dims["dim_b"], tau, encoders)
     n = p.dim_a * p.dim_b
     if tau.shape != (n, n):
         raise SerializationError(path, "tau", f"shape {tau.shape} does not match dims")
+    for k, u in enumerate(encoders):
+        if u.shape != (p.dim_a, p.dim_a):
+            raise SerializationError(
+                path, f"encoders[{k}]", f"shape {u.shape} is not {p.dim_a}x{p.dim_a}"
+            )
     if len(encoders) != p.dim_a_dbl**2:
         raise SerializationError(
             path, "encoders", f"expected {p.dim_a_dbl ** 2} encoders, got {len(encoders)}"
@@ -161,11 +181,12 @@ def load_decomposition(path: str) -> CanonicalDecomposition:
     v = matrix_from_json(_require(doc, "v", path), path, "v")
     w = matrix_from_json(_require(doc, "w", path), path, "w")
     c = tuple(
-        matrix_from_json(m, path, f"c[{k}]") for k, m in enumerate(_require(doc, "c", path))
+        matrix_from_json(m, path, f"c[{k}]")
+        for k, m in enumerate(_require_list(doc, "c", path))
     )
     rho = matrix_from_json(_require(doc, "rho", path), path, "rho")
     blocks = []
-    for k, blk in enumerate(_require(doc, "blocks", path)):
+    for k, blk in enumerate(_require_list(doc, "blocks", path)):
         p = matrix_from_json(_require(blk, "p", path), path, f"blocks[{k}].p")
         s = matrix_from_json(_require(blk, "s", path), path, f"blocks[{k}].s")
         sign = _require(blk, "sign", path)

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 from superdense import bases
 from superdense import numkit as nk
 from superdense.numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
-
-
-def haar(d, rng):
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from superdense.numkit import haar_unitary as haar
 
 
 def kinds(certs):

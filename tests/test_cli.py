@@ -64,6 +64,15 @@ class TestRoundTrip:
         with pytest.raises(serialize.SerializationError) as err:
             serialize.load_basis(str(missing))
         assert "d" in str(err.value)
+        _, dec = pr.random_scrambled_bw(np.random.default_rng(2), 2, 2, 1)
+        for field in ("c", "blocks"):
+            path = str(tmp_path / f"bad-{field}.json")
+            serialize.save_decomposition(dec, path)
+            doc = json.loads(read(path))
+            doc[field] = 5
+            (tmp_path / f"bad-{field}.json").write_text(json.dumps(doc))
+            with pytest.raises(serialize.SerializationError, match=f"'{field}'"):
+                serialize.load_decomposition(path)
 
 
 class TestExitCodes:
@@ -135,11 +144,68 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err
 
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    @pytest.mark.parametrize("field, value", [("elements", 5), ("labels", 5), ("labels", "abcd")])
+    def test_basis_list_field_is_usage_error(self, command, field, value, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        serialize.save_basis(bases.clock_shift_basis(2), str(path))
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        assert main(["basis", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("command", ["verify", "canonicalize"])
+    def test_encoder_shape_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        serialize.save_protocol(pr.bennett_wiesner(), str(path))
+        doc = json.loads(path.read_text())
+        doc["encoders"][2] = serialize.matrix_to_json(np.eye(3))
+        path.write_text(json.dumps(doc))
+        assert main(["protocol", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'encoders[2]'" in err and "same shape" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "canonicalize"])
+    def test_encoders_not_a_list_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        serialize.save_protocol(pr.bennett_wiesner(), str(path))
+        doc = json.loads(path.read_text())
+        doc["encoders"] = 5
+        path.write_text(json.dumps(doc))
+        assert main(["protocol", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'encoders'" in err
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     def test_mp_nonpositive_ratio_is_usage_error(self, r, capsys):
         assert main(["random", "mp", "--r", r]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite and positive" in err
+
+
+class TestReportKeys:
+    def test_exact_key_lists(self, tmp_path, capsys):
+        basis, proto = str(tmp_path / "b.json"), str(tmp_path / "p.json")
+        assert main(["basis", "build", "--kind", "clock-shift", "--d", "2", "-o", basis]) == 0
+        assert main(["protocol", "scramble", "-o", proto]) == 0
+        expected = [
+            (["basis", "check", basis],
+             ["passed", "element_count_ok", "max_unitarity_violation",
+              "max_orthogonality_violation", "tol"]),
+            (["protocol", "verify", proto],
+             ["passed", "max_state_overlap", "worst_pair", "max_operator_violation", "tol"]),
+            (["protocol", "canonicalize", proto],
+             ["passed", "state_residual", "encoder_residuals", "tol"]),
+            (["random", "run", "--d", "2", "--trials", "1"],
+             ["d", "trials", "seed", "hc", "pgm", "max_eig", "hc_mean", "hc_std",
+              "max_eig_mean", "ks_distance", "limit_8_over_3pi"]),
+        ]
+        capsys.readouterr()
+        for argv, keys in expected:
+            assert main(argv) == 0
+            assert list(json.loads(capsys.readouterr().out)) == keys, argv
 
 
 class TestDeterminism:
@@ -227,7 +293,7 @@ class TestFlows:
         assert main(["random", "run", "--d", "8", "--trials", "3", "--seed", "11",
                      "--esd-csv", csv]) == 0
         ens = randlab.random_protocol_ensemble(8, np.random.default_rng([11, 0]))
-        serialize.save_eigenvalues_csv(randlab.esd(ens).eigenvalues, ref)
+        serialize.save_eigenvalues_csv(randlab.esd(ens), ref)
         assert read(csv) == read(ref)
 
     def test_random_mp_table_and_ks(self, tmp_path, capsys):

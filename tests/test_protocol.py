@@ -5,12 +5,7 @@ from superdense import bases
 from superdense import numkit as nk
 from superdense import protocol as pr
 from superdense.numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
-
-
-def haar(d, rng):
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from superdense.numkit import haar_unitary as haar
 
 
 def bell_states():
@@ -219,6 +214,45 @@ class TestPgm:
         e = pr.StateEnsemble(probs=(0.5, 0.5), states=(np.eye(2) / 2, np.eye(2) / 2))
         with pytest.raises(ValueError):
             pr.pgm_success(e)
+
+
+class TestPureSplit:
+    """Kets make a pure ensemble; density matrices, even of rank 1, do not."""
+
+    @staticmethod
+    def ensembles():
+        rng = np.random.default_rng(29)
+        kets = []
+        for _ in range(3):
+            v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            kets.append(v / np.linalg.norm(v))
+        probs = (1 / 3,) * 3
+        rank1 = tuple(np.outer(v, v.conj()) for v in kets)
+        return pr.StateEnsemble(probs, tuple(kets)), pr.StateEnsemble(probs, rank1)
+
+    def test_pure_flag_and_kets(self):
+        ket_ens, rank1_ens = self.ensembles()
+        assert ket_ens.pure and not rank1_ens.pure
+        assert ket_ens.kets() == ket_ens.states
+        with pytest.raises(ValueError):
+            rank1_ens.kets()
+
+    def test_hc_agrees_across_representations(self):
+        ket_ens, rank1_ens = self.ensembles()
+        assert abs(pr.hc_quantity(rank1_ens) - pr.hc_quantity(ket_ens)) <= 1e-12
+
+    def test_pgm_rejects_density_matrices(self):
+        _, rank1_ens = self.ensembles()
+        with pytest.raises(ValueError):
+            pr.pgm_success(rank1_ens)
+
+    def test_bounds_fall_back_to_hc(self):
+        ket_ens, rank1_ens = self.ensembles()
+        hc = pr.hc_quantity(rank1_ens)
+        assert pr.distinguishability_bounds(rank1_ens) == (2 * hc - 1, hc)
+        # the ket ensemble gets the PGM, which beats 2 hc - 1 here
+        lower, _ = pr.distinguishability_bounds(ket_ens)
+        assert lower == pr.pgm_success(ket_ens) > 2 * hc - 1
 
 
 class TestLocalEquivalence:
