@@ -56,10 +56,6 @@ def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     return is_psd(m, tol) and abs(np.trace(m).real - 1.0) <= tol * _scale(m)
 
 
-def dagger(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex).conj().T
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; the left factor is the slow index."""
     return np.kron(_as_matrix(a), _as_matrix(b))

@@ -294,7 +294,7 @@ def random_scrambled_bw(
     blocks <= min(dim A', dim B').  With ``trivial`` all random draws are
     identities and the result is exactly the Bennett-Wiesner protocol.
     """
-    from .rigidity import CanonicalDecomposition
+    from .rigidity import CanonicalDecomposition, block_operator, canonical_state
 
     a1, b1 = int(dim_a_prime), int(dim_b_prime)
     if a1 < 1 or b1 < 1 or blocks < 1:
@@ -331,28 +331,14 @@ def random_scrambled_bw(
     v = np.eye(2 * a1, dtype=complex) if trivial else nk.haar_unitary(2 * a1, rng)
     w = np.eye(2 * b1, dtype=complex) if trivial else nk.haar_unitary(2 * b1, rng)
 
-    epr = nk.max_entangled(2)
-    product = nk.tensor(rho, np.outer(epr, epr.conj()))
-    # reorder (A', B', A'', B'') -> (A', A'', B', B'')
-    sigma0 = nk.permute_factors(product, [a1, b1, 2, 2], [0, 2, 1, 3])
     vw = np.kron(v, w)
-    tau = vw.conj().T @ sigma0 @ vw
+    tau = vw.conj().T @ canonical_state(rho, a1, b1) @ vw
 
-    encoders = []
-    for i, sig in enumerate(nk.PAULIS):
-        block_sum = np.zeros((2 * a1, 2 * a1), dtype=complex)
-        for p_r, s_r in zip(p_projs, s_rots):
-            block_sum += np.kron(p_r, s_r @ sig @ s_r.conj().T)
-        encoders.append(np.kron(cs[i], np.eye(2)) @ block_sum @ v)
-
-    proto = Protocol(
-        dim_a_prime=a1, dim_a_dbl=2, dim_b=2 * b1, tau=tau, encoders=tuple(encoders)
+    blocks = tuple((p_r, s_r, 1) for p_r, s_r in zip(p_projs, s_rots))
+    encoders = tuple(
+        np.kron(cs[i], np.eye(2)) @ block_operator(a1, blocks, sig) @ v
+        for i, sig in enumerate(nk.PAULIS)
     )
-    planted = CanonicalDecomposition(
-        v=v,
-        w=w,
-        c=tuple(cs),
-        rho=rho,
-        blocks=tuple((p_r, s_r, 1) for p_r, s_r in zip(p_projs, s_rots)),
-    )
+    proto = Protocol(dim_a_prime=a1, dim_a_dbl=2, dim_b=2 * b1, tau=tau, encoders=encoders)
+    planted = CanonicalDecomposition(v=v, w=w, c=tuple(cs), rho=rho, blocks=blocks)
     return proto, planted

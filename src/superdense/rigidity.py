@@ -9,7 +9,15 @@ triple onto (Z, X, Y) (`pauli_frame`).  `canonicalize` composes the stages
 and tracks every Alice-side correction into the final decomposition, which
 `verify_decomposition` checks against the original protocol.
 
-All stage tolerances derive from a single knob (default 1e-8).
+All stage tolerances derive from a single knob (default 1e-8).  Every stage
+residual goes through one helper, `_check`, which raises `NiceFormError`
+naming the requirement (item) that failed unless the residual is within its
+threshold; a NaN residual fails.  The items are ``errorless``, ``item2``,
+``item3``, ``item4`` (nice form), ``block-restriction``, ``block-traceless``,
+``block-kernel``, ``block-hermitian``, ``block-phases`` (block
+diagonalization), ``match`` (block matching), ``frame`` (Pauli frames) and
+``verify``: `canonicalize` ends by running `verify_decomposition` on its own
+result at ``tol``, so it returns a decomposition that verifies or raises.
 """
 
 from __future__ import annotations
@@ -33,6 +41,12 @@ class NiceFormError(ValueError):
     def __init__(self, item: str, detail: str):
         super().__init__(f"nice-form requirement '{item}' violated: {detail}")
         self.item = item
+
+
+def _check(item: str, what: str, value: float, limit: float) -> None:
+    """Raise NiceFormError(item) unless value <= limit (so a NaN fails)."""
+    if not value <= limit:
+        raise NiceFormError(item, f"{what} {value:.3e} exceeds {limit:.1e}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +103,24 @@ class DecompositionReport:
     tol: float
 
 
+def canonical_state(rho: np.ndarray, dim_a_prime: int, dim_b_prime: int) -> np.ndarray:
+    """rho (x) EPR with factors reordered from (A', B', A'', B'') to (A', A'', B', B'')."""
+    epr = nk.max_entangled(2)
+    return nk.permute_factors(
+        nk.tensor(rho, np.outer(epr, epr.conj())),
+        [dim_a_prime, dim_b_prime, 2, 2],
+        [0, 2, 1, 3],
+    )
+
+
+def block_operator(dim_a_prime: int, blocks, sigma: np.ndarray) -> np.ndarray:
+    """sum_r P_r (x) S_r sigma S_r^* on A' (x) A'' over blocks (P_r, S_r, sign_r)."""
+    out = np.zeros((2 * dim_a_prime, 2 * dim_a_prime), dtype=complex)
+    for p_r, s_r, _sign in blocks:
+        out += np.kron(p_r, s_r @ sigma @ s_r.conj().T)
+    return out
+
+
 def _projector_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the range of a projector."""
     w, v = np.linalg.eigh((p + p.conj().T) / 2)
@@ -121,12 +153,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     if p.dim_a_dbl != 2:
         raise ValueError("nice form is implemented for qubit messages (d = 2)")
     report = verify_errorless(p, tol)
-    if not report.passed:
-        raise NiceFormError(
-            "errorless",
-            f"state overlap {report.max_state_overlap:.3e}, "
-            f"operator violation {report.max_operator_violation:.3e} exceed {tol:.1e}",
-        )
+    _check("errorless", "state overlap", report.max_state_overlap, tol)
+    _check("errorless", "operator violation", report.max_operator_violation, tol)
     a1, _, b = p.dims
     dim_a = p.dim_a
 
@@ -147,8 +175,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     theta = t_mat @ t_mat.conj().T
     rho_ra = nk.partial_trace(theta, [r0 * a1, 2], [0])
     factor_resid = np.linalg.norm(theta - np.kron(rho_ra, ID2 / 2))
-    if factor_resid > tol * 10:
-        raise NiceFormError("item2", f"Tr_B does not factor: residual {factor_resid:.3e}")
+    _check("item2", "Tr_B factorization residual", factor_resid, tol * 10)
 
     # Schmidt-vector matching: Bob vectors in the eigenbasis of rho^{RA'}
     nu_all, f_all = np.linalg.eigh((rho_ra + rho_ra.conj().T) / 2)
@@ -164,8 +191,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     h = g / np.sqrt(nu / 2)[:, None, None]
     h_flat = h.reshape(2 * r1, b)
     gram_resid = np.linalg.norm(h_flat @ h_flat.conj().T - np.eye(2 * r1))
-    if gram_resid > tol * 10:
-        raise NiceFormError("item2", f"Bob vectors not orthonormal: residual {gram_resid:.3e}")
+    _check("item2", "Bob-vector orthonormality residual", gram_resid, tol * 10)
 
     w_iso = np.zeros((2 * dim_b_prime, b), dtype=complex)
     w_iso[: 2 * r1] = h_flat.conj()
@@ -183,15 +209,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     big_w = np.kron(np.eye(dim_a), w_iso)
     tau2 = big_w @ tau_v @ big_w.conj().T
 
-    epr = nk.max_entangled(2)
-    target = nk.permute_factors(
-        nk.tensor(rho, np.outer(epr, epr.conj())),
-        [a1, dim_b_prime, 2, 2],
-        [0, 2, 1, 3],
-    )
-    item2_resid = nk.trace_distance(tau2, target)
-    if item2_resid > tol * 10:
-        raise NiceFormError("item2", f"extracted product form off by {item2_resid:.3e}")
+    item2_resid = nk.trace_distance(tau2, canonical_state(rho, a1, dim_b_prime))
+    _check("item2", "product-form trace distance", item2_resid, tol * 10)
 
     # Alice marginal and eigenspace alignment (items 3 and 4)
     tau_a = nk.partial_trace(tau_v, [dim_a, b], [0])
@@ -209,10 +228,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         m_i = u @ tau_a @ u.conj().T
         zeta_i = nk.partial_trace(m_i, [a1, 2], [0])
         half_resid = np.linalg.norm(m_i - np.kron(zeta_i, ID2 / 2))
-        if half_resid > tol * 10:
-            raise NiceFormError(
-                "item3", f"encoder {i}: marginal does not factor, residual {half_resid:.3e}"
-            )
+        _check("item3", f"encoder {i}: marginal factorization residual", half_resid, tol * 10)
         dec_i = nk.spectral_decomposition(zeta_i, group_tol=group_tol, tol=1e-6)
         pos_i = _positive_groups(dec_i, tol)
         if len(pos_i) != len(positive):
@@ -222,11 +238,9 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         covered_i = np.zeros((a1, a1), dtype=complex)
         for (lam, proj), (lam_i, proj_i) in zip(positive, pos_i):
             basis, basis_i = _projector_basis(proj), _projector_basis(proj_i)
-            if basis.shape[1] != basis_i.shape[1] or abs(lam - lam_i) > group_tol * 10:
-                raise NiceFormError(
-                    "item3",
-                    f"encoder {i}: eigenvalue {lam_i:.6g} does not match {lam:.6g}",
-                )
+            if basis.shape[1] != basis_i.shape[1]:
+                raise NiceFormError("item3", f"encoder {i}: eigenspace rank mismatch")
+            _check("item3", f"encoder {i}: eigenvalue shift", abs(lam - lam_i), group_tol * 10)
             c_i += basis @ basis_i.conj().T
             covered += proj
             covered_i += proj_i
@@ -244,12 +258,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
             for lam, proj in positive:
                 pk = np.kron(proj, ID2)
                 delta = nk.partial_trace(pk @ prod @ pk, [a1, 2], [0])
-                if np.linalg.norm(delta) > tol * 10:
-                    raise NiceFormError(
-                        "item4",
-                        f"encoders ({i},{j}) eigenspace {lam:.4g}: "
-                        f"residual {np.linalg.norm(delta):.3e}",
-                    )
+                what = f"encoders ({i},{j}) eigenspace {lam:.4g}: residual"
+                _check("item4", what, np.linalg.norm(delta), tol * 10)
 
     nice_protocol = Protocol(
         dim_a_prime=a1,
@@ -275,18 +285,12 @@ def _restricted_block_split(encoder: np.ndarray, basis: np.ndarray, tol: float):
     basis2 = np.kron(basis, ID2)
     mat = basis2.conj().T @ encoder @ basis2
     unit_resid = np.linalg.norm(mat @ mat.conj().T - np.eye(2 * m))
-    if unit_resid > tol * 100:
-        raise NiceFormError(
-            "block-restriction", f"encoder block is not unitary: residual {unit_resid:.3e}"
-        )
+    _check("block-restriction", "encoder block unitarity residual", unit_resid, tol * 100)
     f = mat[0::2, 0::2]
     g = mat[0::2, 1::2]
     h = mat[1::2, 0::2]
     f2 = mat[1::2, 1::2]
-    if np.linalg.norm(f + f2) > tol * 100:
-        raise NiceFormError(
-            "block-traceless", f"diagonal blocks not opposite: {np.linalg.norm(f + f2):.3e}"
-        )
+    _check("block-traceless", "diagonal block sum", np.linalg.norm(f + f2), tol * 100)
     return mat, f, g, h
 
 
@@ -331,19 +335,13 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
                 null = kv[:, ~in_supp]
                 y = null.conj().T @ (w_h @ w_g.conj().T) @ null
                 y_resid = np.linalg.norm(y @ y.conj().T - np.eye(y.shape[0]))
-                if y_resid > tol * 100:
-                    raise NiceFormError(
-                        "block-kernel", f"kernel rotation not unitary: {y_resid:.3e}"
-                    )
+                _check("block-kernel", "kernel rotation unitarity residual", y_resid, tol * 100)
                 e_op = e_op + null @ _principal_unitary_sqrt(y) @ null.conj().T
 
             s_ik = e_op @ t_f.conj().T
             herm = np.kron(s_ik, ID2) @ mat
             herm_resid = np.linalg.norm(herm - herm.conj().T)
-            if herm_resid > tol * 100:
-                raise NiceFormError(
-                    "block-hermitian", f"hermitianization residual {herm_resid:.3e}"
-                )
+            _check("block-hermitian", "hermitianization residual", herm_resid, tol * 100)
             herm = (herm + herm.conj().T) / 2
             k_mat = herm[0::2, 0::2]
             l_mat = herm[0::2, 1::2]
@@ -354,10 +352,7 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
                 c_r = _projector_basis(p_r)
                 x_r = c_r.conj().T @ ew_g @ c_r
                 x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
-                if x_resid > tol * 100:
-                    raise NiceFormError(
-                        "block-phases", f"restricted rotation not unitary: {x_resid:.3e}"
-                    )
+                _check("block-phases", "restricted rotation residual", x_resid, tol * 100)
                 t_s, z_s = scipy.linalg.schur(x_r, output="complex")
                 betas = np.diag(t_s)
                 used = np.zeros(len(betas), dtype=bool)
@@ -374,10 +369,7 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
                     alpha = float(np.einsum("sm,mt,ts->", zc.conj().T, k_mat, zc).real) / rank
                     lam = complex(np.einsum("sm,mt,ts->", zc.conj().T, l_mat, zc)) / rank
                     nrm = math.hypot(alpha, abs(lam))
-                    if abs(nrm - 1.0) > tol * 100:
-                        raise NiceFormError(
-                            "block-phases", f"block column norm {nrm:.12f} is not 1"
-                        )
+                    _check("block-phases", "block column norm defect", abs(nrm - 1.0), tol * 100)
                     alpha, lam = alpha / nrm, lam / nrm
                     q = basis @ (zc @ zc.conj().T) @ basis.conj().T
                     r_2x2 = np.array(
@@ -403,8 +395,7 @@ def common_eigenvector(c, d, e, tol: float = DEFAULT_STAGE_TOL) -> np.ndarray:
     """
     prod = np.asarray(c) @ np.asarray(d) @ np.asarray(e)
     _, s, vh = np.linalg.svd(prod)
-    if s[0] < 1.0 - tol:
-        raise ValueError(f"triple product norm {s[0]:.12f} below 1 - {tol:.1e}")
+    _check("match", "triple product norm defect", 1.0 - s[0], tol)
     return vh[0].conj()
 
 
@@ -412,8 +403,8 @@ def _reproject(q: np.ndarray, expected_rank: int, tol: float) -> np.ndarray:
     w, v = np.linalg.eigh((q + q.conj().T) / 2)
     keep = w > 0.5
     if int(keep.sum()) != expected_rank:
-        raise RuntimeError(
-            f"deflation changed rank to {int(keep.sum())}, expected {expected_rank}"
+        raise NiceFormError(
+            "match", f"deflation changed rank to {int(keep.sum())}, expected {expected_rank}"
         )
     basis = v[:, keep]
     return basis @ basis.conj().T
@@ -470,7 +461,7 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
                         continue
                     try:
                         vec = common_eigenvector(ga[0], gb[0], gc[0], tol)
-                    except ValueError:
+                    except NiceFormError:
                         continue
                     found = (ga, gb, gc, vec)
                     break
@@ -479,9 +470,10 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
             if found:
                 break
         if found is None:
-            raise RuntimeError(
+            raise NiceFormError(
+                "match",
                 "no overlap triangle with a common eigenvector remains; "
-                "tolerance misconfigured or input invalid"
+                "tolerance misconfigured or input invalid",
             )
         ga, gb, gc, vec = found
         peel = np.outer(vec, vec.conj())
@@ -494,7 +486,7 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
             else:
                 g[0] = _reproject(g[0] - peel, g[2], tol)
     if lists[1] or lists[2]:
-        raise RuntimeError("encoders exhausted unevenly; input invalid")
+        raise NiceFormError("match", "encoders exhausted unevenly; input invalid")
 
     residual = np.eye(a1, dtype=complex) - bf.support
     return MatchedBlocks(
@@ -517,12 +509,13 @@ def pauli_frame(r2, r3, r4, tol: float = DEFAULT_STAGE_TOL):
     for m in mats:
         if m.shape != (2, 2):
             raise ValueError("pauli_frame expects 2x2 matrices")
-        if abs(np.trace(m)) > tol * 10 or not nk.is_hermitian(m, tol * 10) or not nk.is_unitary(m, tol * 10):
-            raise ValueError("inputs must be traceless Hermitian unitaries")
+        _check("frame", "input trace", abs(np.trace(m)), tol * 10)
+        if not (nk.is_hermitian(m, tol * 10) and nk.is_unitary(m, tol * 10)):
+            raise NiceFormError("frame", "inputs must be Hermitian unitaries")
     for a in range(3):
         for b in range(a + 1, 3):
-            if abs(nk.hs_inner(mats[a], mats[b])) > tol * 10:
-                raise ValueError("inputs must be pairwise HS-orthogonal")
+            overlap = abs(nk.hs_inner(mats[a], mats[b]))
+            _check("frame", f"HS inner product ({a},{b})", overlap, tol * 10)
     r2, r3, r4 = mats
 
     w, vec = np.linalg.eigh(r2)  # ascending: -1 then +1
@@ -540,12 +533,13 @@ def pauli_frame(r2, r3, r4, tol: float = DEFAULT_STAGE_TOL):
     orient = -1j * (r2 @ r3)  # equals S Y S* for a right-handed triple
     sign = 1 if np.linalg.norm(r4 - orient) <= np.linalg.norm(r4 + orient) else -1
     for target, ref in ((PAULI_Z, r2), (PAULI_X, r3), (sign * PAULI_Y, r4)):
-        if np.linalg.norm(s @ target @ s.conj().T - ref) > tol * 100:
-            raise ValueError("frame construction failed; inputs violate the precondition")
+        _check("frame", "frame residual", np.linalg.norm(s @ target @ s.conj().T - ref), tol * 100)
     return s, sign
 
 
-def canonicalize(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> CanonicalDecomposition:
+def canonicalize(
+    p: Protocol, tol: float = DEFAULT_STAGE_TOL
+) -> tuple[CanonicalDecomposition, DecompositionReport]:
     """Full pipeline: nice form, block diagonalization, matching, Pauli frames.
 
     All Alice-side corrections (eigenspace alignment, Hermitianization,
@@ -553,6 +547,10 @@ def canonicalize(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> CanonicalDecomp
     accumulated into the final C_i, so the decomposition satisfies
     (C_i^* (x) 1) U_i V^* =_tau' sum_r P_r (x) S_r sigma_i S_r^* with the
     vacuous block appended on the complement of the support.
+
+    Returns the decomposition with its `verify_decomposition` report at
+    ``tol``; a decomposition that fails it raises NiceFormError('verify').
+    A protocol whose message dimension is not 2 raises a plain ValueError.
     """
     nf = to_nice_form(p, tol)
     bf = block_diagonalize(nf, tol)
@@ -579,9 +577,11 @@ def canonicalize(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> CanonicalDecomp
     ]
     if np.trace(mb.residual).real > 0.5:
         blocks.append((mb.residual, np.eye(2, dtype=complex), 1))
-    return CanonicalDecomposition(
-        v=nf.v, w=nf.w, c=tuple(cs), rho=nf.rho, blocks=tuple(blocks)
-    )
+    dec = CanonicalDecomposition(v=nf.v, w=nf.w, c=tuple(cs), rho=nf.rho, blocks=tuple(blocks))
+    report = verify_decomposition(p, dec, tol)
+    _check("verify", "state residual", report.state_residual, tol)
+    _check("verify", "encoder residual", np.max(report.encoder_residuals), tol)
+    return dec, report
 
 
 def verify_decomposition(
@@ -600,23 +600,14 @@ def verify_decomposition(
     vw = np.kron(dec.v, dec.w)
     tau_p = vw @ p.tau @ vw.conj().T
 
-    epr = nk.max_entangled(2)
-    target = nk.permute_factors(
-        nk.tensor(dec.rho, np.outer(epr, epr.conj())),
-        [a1, dim_bp, 2, 2],
-        [0, 2, 1, 3],
-    )
-    state_resid = nk.trace_distance(tau_p, target)
+    state_resid = nk.trace_distance(tau_p, canonical_state(dec.rho, a1, dim_bp))
 
     eye_b = np.eye(2 * dim_bp)
     enc_resids = []
     for i, (u, c_i) in enumerate(zip(p.encoders, dec.c)):
         left = np.kron(c_i.conj().T, ID2) @ u @ dec.v.conj().T
-        right = np.zeros((2 * a1, 2 * a1), dtype=complex)
-        for p_r, s_r, _sign in dec.blocks:
-            right += np.kron(p_r, s_r @ nk.PAULIS[i] @ s_r.conj().T)
         lhs = np.kron(left, eye_b)
-        rhs = np.kron(right, eye_b)
+        rhs = np.kron(block_operator(a1, dec.blocks, nk.PAULIS[i]), eye_b)
         enc_resids.append(
             nk.trace_distance(lhs @ tau_p @ lhs.conj().T, rhs @ tau_p @ rhs.conj().T)
         )

@@ -13,6 +13,7 @@ from typing import Any
 
 import numpy as np
 
+from . import numkit as nk
 from .bases import UnitaryBasis
 from .protocol import Protocol
 from .rigidity import CanonicalDecomposition
@@ -114,6 +115,8 @@ def load_basis(path: str) -> UnitaryBasis:
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)
     ):
         raise SerializationError(path, "labels", f"expected a JSON list of strings, got {labels!r}")
+    if labels is not None and len(labels) != d * d:
+        raise SerializationError(path, "labels", f"expected {d * d} labels, got {len(labels)}")
     try:
         return UnitaryBasis(
             d=d, elements=tuple(elements), labels=tuple(labels) if labels else None
@@ -150,6 +153,8 @@ def load_protocol(path: str) -> Protocol:
     n = p.dim_a * p.dim_b
     if tau.shape != (n, n):
         raise SerializationError(path, "tau", f"shape {tau.shape} does not match dims")
+    if not nk.is_density(tau):
+        raise SerializationError(path, "tau", "not a density matrix (Hermitian, PSD, trace 1)")
     for k, u in enumerate(encoders):
         if u.shape != (p.dim_a, p.dim_a):
             raise SerializationError(

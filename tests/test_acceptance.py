@@ -110,7 +110,7 @@ def test_criterion_4_rigidity_round_trip():
         rng = np.random.default_rng([424242, seed])
         p, _ = pr.random_scrambled_bw(rng, a1, b1, blocks)
         try:
-            dec = rg.canonicalize(p)
+            dec, _ = rg.canonicalize(p)
         except Exception as exc:  # any stage failure is a criterion failure
             failures.append(f"seed {seed} ({a1},{b1},{blocks}): {exc}")
             continue

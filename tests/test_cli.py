@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from superdense import bases, randlab, serialize
+from superdense import numkit as nk
 from superdense import protocol as pr
 from superdense import rigidity as rg
 from superdense.cli import main
@@ -145,7 +146,11 @@ class TestExitCodes:
         assert err.startswith("error:") and f"'{key}'" in err
 
     @pytest.mark.parametrize("command", ["check", "certify"])
-    @pytest.mark.parametrize("field, value", [("elements", 5), ("labels", 5), ("labels", "abcd")])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("elements", 5), ("labels", 5), ("labels", "abcd"), ("labels", ["a", "b"]),
+         ("labels", [])],
+    )
     def test_basis_list_field_is_usage_error(self, command, field, value, tmp_path, capsys):
         path = tmp_path / "b.json"
         serialize.save_basis(bases.clock_shift_basis(2), str(path))
@@ -177,6 +182,45 @@ class TestExitCodes:
         assert main(["protocol", command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'encoders'" in err
+
+    @pytest.mark.parametrize("command", ["verify", "canonicalize"])
+    def test_zero_tau_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        serialize.save_protocol(pr.bennett_wiesner(), str(path))
+        doc = json.loads(path.read_text())
+        doc["tau"] = serialize.matrix_to_json(np.zeros((4, 4)))
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "dec.json"
+        assert main(["protocol", command, str(path), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error:") and "'tau'" in captured.err
+
+    def test_canonicalize_non_qubit_is_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "p.json")
+        serialize.save_protocol(pr.canonical_protocol(bases.clock_shift_basis(3)), path)
+        assert main(["protocol", "canonicalize", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d = 2" in err
+
+    def test_canonicalize_unverified_result_fails(self, tmp_path, capsys):
+        # 1e-9 encoder noise on the (3,3,2) scramble [5, 9]: every stage
+        # passes, but the result misses tol 1e-8 by a factor of four
+        p, _ = pr.random_scrambled_bw(np.random.default_rng([5, 9]), 3, 3, 2)
+        rng = np.random.default_rng([6, 9])
+        encoders = tuple(
+            nk.polar_decomposition(u + 1e-9 * (rng.standard_normal(u.shape)
+                                               + 1j * rng.standard_normal(u.shape)))[1]
+            for u in p.encoders
+        )
+        path = str(tmp_path / "p.json")
+        serialize.save_protocol(pr.Protocol(3, 2, p.dim_b, p.tau, encoders), path)
+        out = tmp_path / "dec.json"
+        assert main(["protocol", "canonicalize", path, "--tol", "1e-8", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: canonicalization failed: ")
+        assert "'verify'" in captured.err
 
     @pytest.mark.parametrize("r", ["0", "-1"])
     def test_mp_nonpositive_ratio_is_usage_error(self, r, capsys):

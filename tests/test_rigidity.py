@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdense import numkit as nk
 from superdense import protocol as pr
@@ -16,6 +18,25 @@ def epr_density():
 def planted_protocol(a1, b1, blocks, seed):
     rng = np.random.default_rng(seed)
     return pr.random_scrambled_bw(rng, a1, b1, blocks)
+
+
+def noisy_scramble(a1, b1, blocks, seed, eps):
+    """A scramble whose encoders get eps * (G + iG') noise, made unitary again."""
+    p, _ = pr.random_scrambled_bw(np.random.default_rng([5, seed]), a1, b1, blocks)
+    rng = np.random.default_rng([6, seed])
+    encoders = tuple(
+        nk.polar_decomposition(u + eps * (rng.standard_normal(u.shape)
+                                          + 1j * rng.standard_normal(u.shape)))[1]
+        for u in p.encoders
+    )
+    return pr.Protocol(p.dim_a_prime, p.dim_a_dbl, p.dim_b, p.tau, encoders)
+
+
+# every item canonicalize documents for a NiceFormError
+NICE_FORM_ITEMS = {
+    "errorless", "item2", "item3", "item4", "block-restriction", "block-traceless",
+    "block-kernel", "block-hermitian", "block-phases", "match", "frame", "verify",
+}
 
 
 def block_protocol(p_projs, rotations, rho, dim_b_prime, corrections=None, v=None, w=None):
@@ -195,8 +216,9 @@ class TestCommonEigenvector:
     def test_rejects_disjoint(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(rg.NiceFormError) as err:
             rg.common_eigenvector(p0, p1, p0)
+        assert err.value.item == "match"
 
 
 class TestMatchBlocks:
@@ -279,15 +301,17 @@ class TestPauliFrame:
             assert np.allclose(s @ PAULI_Y @ s.conj().T, triple[2], atol=1e-9)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(rg.NiceFormError) as err:
             rg.pauli_frame(PAULI_Z, PAULI_Z, PAULI_Y)
-        with pytest.raises(ValueError):
+        assert err.value.item == "frame"
+        with pytest.raises(rg.NiceFormError) as err:
             rg.pauli_frame(ID2, PAULI_X, PAULI_Y)
+        assert err.value.item == "frame"
 
 
 class TestCanonicalize:
     def test_bennett_wiesner_trivial_block(self):
-        dec = rg.canonicalize(pr.bennett_wiesner())
+        dec, _ = rg.canonicalize(pr.bennett_wiesner())
         assert len(dec.blocks) == 1
         p_r, s_r, sign = dec.blocks[0]
         assert np.allclose(p_r, np.eye(1)) and sign == 1
@@ -304,7 +328,7 @@ class TestCanonicalize:
         blocks = int(rng.integers(1, min(3, a1) + 1))
         b1 = int(rng.integers(blocks, 5))
         p, _ = pr.random_scrambled_bw(rng, a1, b1, blocks)
-        dec = rg.canonicalize(p)
+        dec, _ = rg.canonicalize(p)
         rep = rg.verify_decomposition(p, dec, tol=1e-7)
         assert rep.passed, (rep.state_residual, rep.encoder_residuals)
 
@@ -313,7 +337,7 @@ class TestCanonicalize:
             m.reshape(2, 2).astype(complex) for m in (ID2, PAULI_Z, PAULI_X, -PAULI_Y)
         )
         p = pr.Protocol(1, 2, 2, epr_density(), encs)
-        dec = rg.canonicalize(p)
+        dec, _ = rg.canonicalize(p)
         assert dec.blocks[0][2] == -1
         assert rg.verify_decomposition(p, dec).passed
 
@@ -329,7 +353,7 @@ class TestCanonicalize:
             np.kron(live, sig) + np.kron(dead, haar(2, rng)) for sig in nk.PAULIS
         )
         p = pr.Protocol(2, 2, 2, tau, encoders)
-        dec = rg.canonicalize(p)
+        dec, _ = rg.canonicalize(p)
         ranks = [int(round(np.trace(b[0]).real)) for b in dec.blocks]
         assert ranks == [1, 1]
         assert np.allclose(dec.blocks[-1][1], ID2)  # vacuous block carries S = 1
@@ -344,23 +368,44 @@ class TestCanonicalize:
                 p, haar(p.dim_a, rng), [haar(p.dim_a_prime, rng) for _ in range(4)],
                 haar(p.dim_b, rng),
             )
-            dec = rg.verify_decomposition(q, rg.canonicalize(q), tol=1e-7)
-            assert dec.passed
+            dec, _ = rg.canonicalize(q)
+            assert rg.verify_decomposition(q, dec, tol=1e-7).passed
 
     def test_noisy_scramble_within_tolerance(self):
         # 1e-6 encoder noise, made unitary again, leaves Bob's vectors
         # spanning C^b without being exactly orthonormal
-        p, _ = pr.random_scrambled_bw(np.random.default_rng([5, 0]), 3, 3, 2)
-        rng = np.random.default_rng([6, 0])
-        encoders = tuple(
-            nk.polar_decomposition(u + 1e-6 * (rng.standard_normal(u.shape)
-                                               + 1j * rng.standard_normal(u.shape)))[1]
-            for u in p.encoders
-        )
-        q = pr.Protocol(p.dim_a_prime, p.dim_a_dbl, p.dim_b, p.tau, encoders)
-        dec = rg.canonicalize(q, tol=1e-5)
+        q = noisy_scramble(3, 3, 2, 0, 1e-6)
+        dec, _ = rg.canonicalize(q, tol=1e-5)
         rep = rg.verify_decomposition(q, dec, tol=1e-5)
         assert rep.passed, (rep.state_residual, rep.encoder_residuals)
+
+    def test_unverified_result_raises(self):
+        # every stage passes its tol*10 or tol*100 gate, but the encoder
+        # residual of the result, 4.1e-8, exceeds tol
+        q = noisy_scramble(3, 3, 2, 9, 1e-9)
+        with pytest.raises(rg.NiceFormError) as err:
+            rg.canonicalize(q, tol=1e-8)
+        assert err.value.item == "verify"
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        a1=st.integers(1, 4),
+        shape=st.tuples(st.integers(0, 2), st.integers(0, 3)),
+        seed=st.integers(0, 2**16),
+        eps=st.just(0.0) | st.floats(-12, -5).map(lambda x: 10.0**x),
+        tol=st.sampled_from([1e-8, 1e-7, 1e-6, 1e-5]),
+    )
+    def test_verified_or_named_failure(self, a1, shape, seed, eps, tol):
+        blocks = min(shape[0], a1 - 1) + 1
+        b1 = blocks + shape[1]
+        q = noisy_scramble(a1, b1, blocks, seed, eps)
+        try:
+            dec, rep = rg.canonicalize(q, tol)
+        except rg.NiceFormError as exc:
+            assert exc.item in NICE_FORM_ITEMS
+            return
+        assert rep.passed
+        assert rg.verify_decomposition(q, dec, tol).passed
 
 
 class TestVerifyDecomposition:
