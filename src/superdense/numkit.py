@@ -231,16 +231,36 @@ def max_entangled(d: int) -> np.ndarray:
     return ket
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    triangular factor's diagonal phases normalized away (Mezzadri,
-    arXiv:math-ph/0609050)."""
+# complex entries per Ginibre block: larger stacks raise peak memory and run no faster
+_HAAR_BLOCK = 2**14
+
+
+def haar_unitaries(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m independent Haar-distributed d x d unitaries, shape (m, d, d).
+
+    Each is the QR factor of a complex Ginibre matrix with the triangular
+    factor's diagonal phases normalized away (Mezzadri,
+    arXiv:math-ph/0609050).  Draws are taken in stacked blocks, each draw's
+    real part then its imaginary part, so the result and the generator's
+    state afterwards equal those of m calls to `haar_unitary`.
+    """
     if d < 1:
         raise ValueError("dimension must be positive")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    if m < 0:
+        raise ValueError(f"draw count must be non-negative, got {m}")
+    out = np.empty((m, d, d), dtype=complex)
+    step = max(1, _HAAR_BLOCK // (d * d))
+    for start in range(0, m, step):
+        g = rng.standard_normal((min(step, m - start), 2, d, d))
+        q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        out[start:start + len(g)] = q * (diag / np.abs(diag))[:, None, :]
+    return out
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed d x d unitary: `haar_unitaries` with m = 1."""
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def hs_inner(a, b) -> complex:

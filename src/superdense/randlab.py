@@ -5,6 +5,8 @@ Haar-random unitaries: spectra of the ensemble-average matrix Q, comparison
 with the Marchenko-Pastur law, the closed-form second-moment operator of a
 random maximally entangled state, pseudo-isotropy variance checks, and the
 distinguishability statistics whose large-d mean approaches 8/(3*pi).
+Haar unitaries are drawn in batches by `numkit.haar_unitaries`, which
+consumes the generator exactly as one draw at a time would.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import numpy as np
 from scipy.linalg import blas
 
 from . import numkit as nk
-from .numkit import haar_unitary
+from .numkit import haar_unitaries
+# unused here; perfbench/ wraps and calls it as `randlab.haar_unitary`
+from .numkit import haar_unitary  # noqa: F401
 from .protocol import StateEnsemble, pgm_success
 
 EIGHT_OVER_3PI = 8.0 / (3.0 * math.pi)
@@ -76,8 +80,9 @@ def random_protocol_ensemble(d: int, rng: np.random.Generator) -> StateEnsemble:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     n = d * d
-    kets = tuple(haar_unitary(d, rng).reshape(-1) / np.sqrt(d) for _ in range(n))
-    return StateEnsemble(probs=(1.0 / n,) * n, states=kets)
+    kets = haar_unitaries(d, n, rng).reshape(n, n)
+    kets /= np.sqrt(d)
+    return StateEnsemble(probs=(1.0 / n,) * n, states=tuple(kets))
 
 
 def esd(e: StateEnsemble) -> np.ndarray:
@@ -178,10 +183,9 @@ def m_operator_monte_carlo(
     done = 0
     while done < samples:
         m = min(batch, samples - done)
-        phis = np.empty((m, d**4), dtype=complex)
-        for k in range(m):
-            psi = haar_unitary(d, rng).reshape(-1) / np.sqrt(d)
-            phis[k] = np.kron(psi, psi)
+        psi = haar_unitaries(d, m, rng).reshape(m, d * d) / np.sqrt(d)
+        # row k is np.kron(psi[k], psi[k]): the same products, in one pass
+        phis = (psi[:, :, None] * psi[:, None, :]).reshape(m, d**4)
         total += phis.T @ phis.conj()
         done += m
     return total / samples
@@ -204,10 +208,10 @@ def pseudo_isotropy_variance(
         raise ValueError(f"matrix must act on C^{n}")
     if np.linalg.norm(a, ord=2) > 1.0 + 1e-9:
         raise ValueError("spectral norm must be at most 1")
-    vals = np.empty(samples, dtype=complex)
-    for k in range(samples):
-        xi = haar_unitary(d, rng).reshape(-1) * np.sqrt(d)
-        vals[k] = np.vdot(xi, a @ xi)
+    xis = haar_unitaries(d, samples, rng).reshape(samples, n)
+    xis *= np.sqrt(d)
+    # one vdot per draw: a batched product would change the summation order
+    vals = np.array([np.vdot(xi, a @ xi) for xi in xis], dtype=complex)
     return float(np.mean(np.abs(vals - vals.mean()) ** 2))
 
 
@@ -226,6 +230,8 @@ def distinguishability_experiment(
     """
     if d < 2 or trials < 1:
         raise ValueError("need d >= 2 and at least one trial")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     hcs, pgms, maxes, spectra = [], [], [], []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

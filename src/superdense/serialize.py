@@ -160,6 +160,8 @@ def load_protocol(path: str) -> Protocol:
             raise SerializationError(
                 path, f"encoders[{k}]", f"shape {u.shape} is not {p.dim_a}x{p.dim_a}"
             )
+        if not nk.is_unitary(u):
+            raise SerializationError(path, f"encoders[{k}]", "not a unitary matrix")
     if len(encoders) != p.dim_a_dbl**2:
         raise SerializationError(
             path, "encoders", f"expected {p.dim_a_dbl ** 2} encoders, got {len(encoders)}"

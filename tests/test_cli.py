@@ -173,6 +173,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "'encoders[2]'" in err and "same shape" not in err
 
     @pytest.mark.parametrize("command", ["verify", "canonicalize"])
+    def test_non_unitary_encoder_is_usage_error(self, command, tmp_path, capsys):
+        # a (2,2,4) scramble whose encoder 1 is doubled, so no longer unitary
+        p, _ = pr.random_scrambled_bw(np.random.default_rng(3), 2, 2, 1)
+        encoders = list(p.encoders)
+        encoders[1] = 2 * encoders[1]
+        path = tmp_path / "p.json"
+        serialize.save_protocol(pr.Protocol(2, 2, p.dim_b, p.tau, tuple(encoders)), str(path))
+        assert main(["protocol", command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'encoders[1]'" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "canonicalize"])
     def test_encoders_not_a_list_is_usage_error(self, command, tmp_path, capsys):
         path = tmp_path / "p.json"
         serialize.save_protocol(pr.bennett_wiesner(), str(path))
@@ -227,6 +240,14 @@ class TestExitCodes:
         assert main(["random", "mp", "--r", r]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite and positive" in err
+
+    def test_random_run_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        assert main(["random", "run", "--d", "2", "--trials", "1", "--seed", "-1",
+                     "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error:") and "seed" in captured.err
 
 
 class TestReportKeys:

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from superdense import numkit as nk
+from superdense import randlab as rl
 from superdense.numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -194,6 +195,80 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             nk.psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def haar_reference(d, rng):
+    """One Haar draw at a time: the reference `haar_unitaries` must match bit for bit."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestHaarUnitaries:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+    def test_equals_per_draw_reference(self, d, monkeypatch):
+        # blocks of at most 256 draws keep the reference loop short; from
+        # d = 8 up that is the package's own block size
+        monkeypatch.setattr(nk, "_HAAR_BLOCK", min(nk._HAAR_BLOCK, 256 * d * d))
+        step = nk._HAAR_BLOCK // (d * d)
+        counts = (0, 1, step - 1, step, step + 1, 3 * step + 1)
+        rng = np.random.default_rng([41, d])
+        ref, states = [], [rng.bit_generator.state]
+        for _ in range(max(counts)):
+            ref.append(haar_reference(d, rng))
+            states.append(rng.bit_generator.state)
+        for m in counts:
+            rng = np.random.default_rng([41, d])
+            expected = np.array(ref[:m], dtype=complex).reshape(m, d, d)
+            assert same_bits(nk.haar_unitaries(d, m, rng), expected)
+            # the same state, so the generator's next draw is the same too
+            assert rng.bit_generator.state == states[m]
+
+    def test_single_draw(self):
+        rng, rng2 = np.random.default_rng(43), np.random.default_rng(43)
+        assert same_bits(nk.haar_unitary(5, rng), haar_reference(5, rng2))
+
+    def test_empty_and_invalid(self):
+        rng = np.random.default_rng(47)
+        assert nk.haar_unitaries(3, 0, rng).shape == (0, 3, 3)
+        with pytest.raises(ValueError, match="draw count"):
+            nk.haar_unitaries(3, -1, rng)
+        for d in (0, -2):
+            with pytest.raises(ValueError, match="dimension"):
+                nk.haar_unitaries(d, 2, rng)
+        with pytest.raises(ValueError, match="dimension"):
+            nk.haar_unitary(0, rng)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_protocol_ensemble_kets(self, d):
+        ens = rl.random_protocol_ensemble(d, np.random.default_rng([53, d]))
+        rng = np.random.default_rng([53, d])
+        ref = [haar_reference(d, rng).reshape(-1) / np.sqrt(d) for _ in range(d * d)]
+        assert same_bits(np.stack(ens.kets()), np.stack(ref))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_m_operator_monte_carlo(self, d):
+        samples, batch = 500, 200
+        mc = rl.m_operator_monte_carlo(d, samples, np.random.default_rng([59, d]), batch=batch)
+        # reference: one draw and one np.kron per row
+        rng = np.random.default_rng([59, d])
+        total = np.zeros((d**4, d**4), dtype=complex)
+        done = 0
+        while done < samples:
+            m = min(batch, samples - done)
+            phis = np.empty((m, d**4), dtype=complex)
+            for k in range(m):
+                psi = haar_reference(d, rng).reshape(-1) / np.sqrt(d)
+                phis[k] = np.kron(psi, psi)
+            total += phis.T @ phis.conj()
+            done += m
+        assert same_bits(mc, total / samples)
 
 
 class TestMaxEntangled:

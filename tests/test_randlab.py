@@ -26,7 +26,7 @@ class TestHaarUnitary:
         # E|U_00|^2 = 1/d for Haar, estimated within 3 standard errors
         rng = np.random.default_rng(2)
         d, n = 2, 100_000
-        vals = np.array([abs(rl.haar_unitary(d, rng)[0, 0]) ** 2 for _ in range(n)])
+        vals = np.abs(nk.haar_unitaries(d, n, rng)[:, 0, 0]) ** 2
         se = vals.std() / math.sqrt(n)
         assert abs(vals.mean() - 1 / d) < 3 * se
 
@@ -34,13 +34,10 @@ class TestHaarUnitary:
         # |Tr(V U)|^2 has the same Haar mean as |Tr U|^2 (both 1 for d >= 2)
         rng = np.random.default_rng(3)
         d, n = 3, 20_000
-        v = rl.haar_unitary(d, rng)
-        t_plain = np.empty(n)
-        t_rot = np.empty(n)
-        for k in range(n):
-            u = rl.haar_unitary(d, rng)
-            t_plain[k] = abs(np.trace(u)) ** 2
-            t_rot[k] = abs(np.trace(v @ u)) ** 2
+        draws = nk.haar_unitaries(d, n + 1, rng)
+        v, us = draws[0], draws[1:]
+        t_plain = np.abs(np.trace(us, axis1=1, axis2=2)) ** 2
+        t_rot = np.abs(np.trace(v @ us, axis1=1, axis2=2)) ** 2
         se = math.sqrt(t_plain.var() / n + t_rot.var() / n)
         assert abs(t_plain.mean() - t_rot.mean()) < 3 * se
 
