@@ -3,8 +3,8 @@
 Subcommands: ``basis build|check|certify``, ``protocol
 scramble|verify|canonicalize``, ``random run|mp``.  Data goes to files or
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error.  A fixed seed makes outputs byte-identical
-across runs of the same build.
+failure, 2 usage or parse error, or a file that cannot be read or written.
+A fixed seed makes outputs byte-identical across runs of the same build.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ValueError as exc:  # SerializationError included
+    except (ValueError, OSError) as exc:  # SerializationError, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

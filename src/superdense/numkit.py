@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 DEFAULT_TOL = 1e-9
 
@@ -215,11 +216,31 @@ def psd_sqrt(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     p = _as_matrix(p)
     w, v = np.linalg.eigh((p + p.conj().T) / 2)
-    floor = -tol * _scale(p)
-    if w.min(initial=0.0) < floor:
-        raise ValueError(f"matrix is not PSD: eigenvalue {w.min()} below {floor}")
-    w = np.clip(w, 0.0, None)
+    w = clip_psd_spectrum(w, tol * _scale(p))
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def clip_psd_spectrum(w: np.ndarray, slack: float) -> np.ndarray:
+    """Eigenvalues of a PSD matrix with rounding noise clipped to zero.
+
+    An eigenvalue below -slack is an error: the matrix is not PSD.
+    """
+    if w.min(initial=0.0) < -slack:
+        raise ValueError(f"matrix is not PSD: eigenvalue {w.min()} below {-slack}")
+    return np.clip(w, 0.0, None)
+
+
+def gram(kets) -> np.ndarray:
+    """Gram matrix G = Psi^H Psi, G_ij = <psi_i|psi_j>, lower triangle only.
+
+    `kets` holds one ket per row: an (m, N) array, read in place, or a
+    sequence of kets, stacked once.  The strict upper triangle of the result
+    is zero; read it with UPLO="L".
+    """
+    rows = np.asarray(kets, dtype=complex)
+    # rows.T is an F-contiguous view of C-contiguous rows, which zherk reads
+    # without a copy; trans=2 forms (rows.T)^H rows.T = G
+    return blas.zherk(1.0, rows.T, trans=2, lower=1)
 
 
 def max_entangled(d: int) -> np.ndarray:

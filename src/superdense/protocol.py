@@ -49,10 +49,14 @@ class Protocol:
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """States with probabilities; a state is a density matrix or a pure ket."""
+    """States with probabilities; a state is a density matrix or a pure ket.
+
+    `states` is a tuple of states, or one 2-D array whose rows are the kets,
+    which `kets()` hands out without a copy.
+    """
 
     probs: tuple[float, ...]
-    states: tuple[np.ndarray, ...]
+    states: tuple[np.ndarray, ...] | np.ndarray
 
     def __post_init__(self):
         if len(self.probs) != len(self.states):
@@ -73,7 +77,7 @@ class StateEnsemble:
         """Every member is a 1-D ket; a density matrix, even of rank 1, is not."""
         return all(s.ndim == 1 for s in self.states)
 
-    def kets(self) -> tuple[np.ndarray, ...]:
+    def kets(self) -> tuple[np.ndarray, ...] | np.ndarray:
         """The members of a pure ensemble; raises ValueError otherwise."""
         if not self.pure:
             raise ValueError("ensemble members are density matrices, not kets")
@@ -214,16 +218,29 @@ def pgm_success(e: StateEnsemble, tol: float = nk.DEFAULT_TOL) -> float:
     """Success probability of the square-root measurement.
 
     Defined for uniform ensembles of kets; computed from the Gram
-    matrix G of the state vectors as (1/m) sum_i ((sqrt G)_{ii})^2.  The PGM
-    is an actual measurement, so this is always a lower bound on the
-    ensemble's distinguishability.
+    matrix G = Psi^H Psi of the state vectors as (1/m) sum_i ((sqrt G)_{ii})^2
+    by `pgm_from_eigh`, after one Hermitian eigensolve of G.  The PGM is an
+    actual measurement, so this is always a lower bound on the ensemble's
+    distinguishability.
     """
     if not e.is_uniform(max(tol, 1e-10)):
         raise ValueError("pgm_success requires a uniform ensemble")
-    psi = np.column_stack(e.kets())
-    g = psi.conj().T @ psi
-    root = nk.psd_sqrt(g, max(tol, 1e-8))
-    return float(np.sum(np.abs(np.diag(root)) ** 2) / len(e))
+    w, v = np.linalg.eigh(nk.gram(e.kets()), UPLO="L")
+    return pgm_from_eigh(w, v, tol)
+
+
+def pgm_from_eigh(w: np.ndarray, v: np.ndarray, tol: float = nk.DEFAULT_TOL) -> float:
+    """PGM success (1/m) sum_i ((sqrt G)_{ii})^2 of a uniform ensemble of m kets,
+    from the eigendecomposition G = V diag(w) V^H of its Gram matrix.
+
+    (sqrt G)_{ii} = sum_k |V_{ik}|^2 sqrt(w_k), so the diagonal costs O(m^2)
+    and sqrt G is never formed.  As in `numkit.psd_sqrt`, an eigenvalue below
+    -max(tol, 1e-8) * max(1, ||G||_F) raises ValueError; ||G||_F is taken
+    from the spectrum.
+    """
+    w = nk.clip_psd_spectrum(w, max(tol, 1e-8) * max(1.0, float(np.linalg.norm(w))))
+    diag = (v.real**2 + v.imag**2) @ np.sqrt(w)
+    return float(np.mean(diag**2))
 
 
 def distinguishability_bounds(e: StateEnsemble, tol: float = nk.DEFAULT_TOL):

@@ -7,6 +7,12 @@ random maximally entangled state, pseudo-isotropy variance checks, and the
 distinguishability statistics whose large-d mean approaches 8/(3*pi).
 Haar unitaries are drawn in batches by `numkit.haar_unitaries`, which
 consumes the generator exactly as one draw at a time would.
+
+The n = d^2 kets of a random protocol are the rows of one (n, n) array.
+Each trial forms their Gram matrix G = Psi^H Psi once (`numkit.gram`); G
+and Q = Psi Psi^H share their spectrum.  Where the PGM is computed, one
+Hermitian eigensolve of G feeds both the spectrum and the PGM
+(`spectrum_and_pgm`); elsewhere `esd` computes the eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import numkit as nk
 from .numkit import haar_unitaries
 # unused here; perfbench/ wraps and calls it as `randlab.haar_unitary`
 from .numkit import haar_unitary  # noqa: F401
-from .protocol import StateEnsemble, pgm_success
+from .protocol import StateEnsemble, pgm_from_eigh
+# unused here; perfbench/ wraps it as `randlab.pgm_success`
+from .protocol import pgm_success  # noqa: F401
 
 EIGHT_OVER_3PI = 8.0 / (3.0 * math.pi)
 
@@ -76,24 +83,35 @@ def random_protocol_ensemble(d: int, rng: np.random.Generator) -> StateEnsemble:
     """Uniform ensemble of n = d^2 states (U_i (x) 1)|mes_d> with Haar U_i.
 
     Uses the identity (U (x) 1)|mes_d> = vec(U)/sqrt(d) (row-major vec).
+    The states are the rows of one (n, n) array, as the sampler returns them.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     n = d * d
     kets = haar_unitaries(d, n, rng).reshape(n, n)
     kets /= np.sqrt(d)
-    return StateEnsemble(probs=(1.0 / n,) * n, states=tuple(kets))
+    return StateEnsemble(probs=(1.0 / n,) * n, states=kets)
 
 
 def esd(e: StateEnsemble) -> np.ndarray:
-    """Eigenvalues of the unnormalized ensemble average Q = sum |psi><psi|,
-    sorted descending."""
-    # the kets are the rows of the stack, so its transpose is psi as an
-    # F-contiguous view that zherk reads without a copy; zherk fills only the
-    # lower triangle of Q, which is all eigvalsh reads with UPLO="L"
-    psi = np.stack(e.kets()).T
-    q = blas.zherk(1.0, psi, lower=1)
-    return np.linalg.eigvalsh(q, UPLO="L")[::-1].copy()
+    """Eigenvalues of the Gram matrix G = Psi^H Psi of a pure ensemble's kets,
+    sorted descending.
+
+    G shares its nonzero eigenvalues with the unnormalized ensemble average
+    Q = sum |psi><psi|; for the d^2 kets of a random protocol both are
+    d^2 x d^2, so this is Q's spectrum.
+    """
+    return np.linalg.eigvalsh(nk.gram(e.kets()), UPLO="L")[::-1].copy()
+
+
+def spectrum_and_pgm(kets) -> tuple[np.ndarray, float]:
+    """`esd` and `pgm_success` of a uniform ensemble from one eigensolve.
+
+    `kets` holds one ket per row.  One `eigh` of their Gram matrix gives the
+    descending spectrum and, through `pgm_from_eigh`, the PGM success.
+    """
+    w, v = np.linalg.eigh(nk.gram(kets), UPLO="L")
+    return w[::-1].copy(), pgm_from_eigh(w, v)
 
 
 def mp_density(p: MPParams, x: float) -> float:
@@ -223,10 +241,12 @@ def distinguishability_experiment(
     Trial t draws its own stream seeded by (seed, t), so runs are
     reproducible and trials are independent.  The Holevo-Curlander scalar of
     a uniform pure ensemble equals (1/n) sum sqrt(lambda_i) of its Q matrix,
-    so `hc` is computed from the spectrum; the PGM success probability costs
-    an n x n square root and is only computed for d <= pgm_limit.
-    `first_spectrum` is trial 0's spectrum, kept so that writing it costs no
-    second draw.
+    so `hc` is computed from the spectrum.  Each trial forms one Gram matrix
+    G = Psi^H Psi of its kets.  For d <= pgm_limit one eigendecomposition of
+    G feeds both the spectrum and the PGM success probability
+    (`spectrum_and_pgm`); above it `esd` computes the eigenvalues alone and
+    the PGM is None.  `first_spectrum` is trial 0's spectrum, kept so that
+    writing it costs no second draw.
     """
     if d < 2 or trials < 1:
         raise ValueError("need d >= 2 and at least one trial")
@@ -234,12 +254,14 @@ def distinguishability_experiment(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     hcs, pgms, maxes, spectra = [], [], [], []
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        ens = random_protocol_ensemble(d, rng)
-        w = esd(ens)
+        ens = random_protocol_ensemble(d, np.random.default_rng([seed, t]))
+        if d <= pgm_limit:
+            w, pgm = spectrum_and_pgm(ens.kets())
+        else:
+            w, pgm = esd(ens), None
         hcs.append(mean_sqrt_esd(w))
         maxes.append(float(w[0]))
-        pgms.append(pgm_success(ens) if d <= pgm_limit else None)
+        pgms.append(pgm)
         spectra.append(w)
     ks = kolmogorov_distance(np.concatenate(spectra), MPParams(r=1.0))
     return ExperimentStats(

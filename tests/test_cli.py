@@ -106,6 +106,19 @@ class TestExitCodes:
         assert main(["basis", "certify", str(tmp_path / "dup.json")]) == 1
         assert "valid orthogonal unitary basis" in capsys.readouterr().err
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(["random", "run", "--d", "2", "--trials", "1", "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "x.json" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_directory_input_is_usage_error(self, tmp_path, capsys):
+        assert main(["basis", "certify", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(tmp_path) in captured.err
+
     def test_certify_dimension_one_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "d1.json"
         path.write_text('{"d": 1, "elements": [[[[1.0, 0.0]]]]}')
@@ -358,7 +371,8 @@ class TestFlows:
         assert main(["random", "run", "--d", "8", "--trials", "3", "--seed", "11",
                      "--esd-csv", csv]) == 0
         ens = randlab.random_protocol_ensemble(8, np.random.default_rng([11, 0]))
-        serialize.save_eigenvalues_csv(randlab.esd(ens), ref)
+        spectrum, _ = randlab.spectrum_and_pgm(ens.kets())  # d=8 <= pgm limit
+        serialize.save_eigenvalues_csv(spectrum, ref)
         assert read(csv) == read(ref)
 
     def test_random_mp_table_and_ks(self, tmp_path, capsys):

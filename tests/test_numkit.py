@@ -197,6 +197,26 @@ class TestPsdSqrt:
             nk.psd_sqrt(np.diag([1.0, -0.5]))
 
 
+class TestPsdSpectrumAndGram:
+    def test_clip_keeps_noise_and_rejects_below_slack(self):
+        w = np.array([-1e-12, 0.5, 2.0])
+        assert np.array_equal(nk.clip_psd_spectrum(w, 1e-9), [0.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match="not PSD"):
+            nk.clip_psd_spectrum(w, 1e-13)
+
+    @pytest.mark.parametrize("m, dim", [(3, 3), (5, 2), (2, 6)])
+    def test_gram_lower_triangle(self, m, dim):
+        rng = np.random.default_rng([43, m, dim])
+        rows = random_matrix(rng, max(m, dim))[:m, :dim].copy()
+        ref = rows.conj() @ rows.T  # G_ij = <psi_i|psi_j>
+        for kets in (rows, tuple(rows)):
+            g = nk.gram(kets)
+            assert g.shape == (m, m)
+            assert np.abs(np.tril(g) - np.tril(ref)).max() <= 1e-13
+            assert not np.triu(g, 1).any()
+            assert np.allclose(np.linalg.eigvalsh(g, UPLO="L"), np.linalg.eigvalsh(ref))
+
+
 def haar_reference(d, rng):
     """One Haar draw at a time: the reference `haar_unitaries` must match bit for bit."""
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)

@@ -215,6 +215,74 @@ class TestPgm:
         with pytest.raises(ValueError):
             pr.pgm_success(e)
 
+    @staticmethod
+    def root_formula(kets):
+        """The square-root reference: (1/m) sum_i |(sqrt G)_ii|^2."""
+        psi = np.column_stack(kets)
+        root = nk.psd_sqrt(psi.conj().T @ psi, 1e-8)
+        return float(np.sum(np.abs(np.diag(root)) ** 2) / len(kets))
+
+    @staticmethod
+    def random_kets(rng, m, dim):
+        v = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+        return tuple(v / np.linalg.norm(v, axis=1, keepdims=True))
+
+    @staticmethod
+    def frame_formula(kets):
+        """(1/m) sum_i <psi_i| S^(-1/2) |psi_i>^2 with S = Psi Psi^H of full
+        rank: sqrt G = Psi^H S^(-1/2) Psi, without G's null space."""
+        psi = np.column_stack(kets)
+        w, v = np.linalg.eigh(psi @ psi.conj().T)
+        inv_root = (v / np.sqrt(w)) @ v.conj().T
+        diag = np.einsum("ji,jk,ki->i", psi.conj(), inv_root, psi).real
+        return float(np.mean(diag**2))
+
+    @pytest.mark.parametrize("m, dim", [(5, 2), (9, 3), (16, 4)])
+    def test_more_kets_than_dimension(self, m, dim):
+        # G is m x m of rank dim; its m - dim null eigenvalues come out as
+        # rounding noise of order 1e-16, whose square roots move the result by
+        # up to about 1e-8, in the square-root formula as in pgm_success
+        kets = self.random_kets(np.random.default_rng([37, m]), m, dim)
+        e = pr.StateEnsemble(probs=(1 / m,) * m, states=kets)
+        exact = self.frame_formula(kets)
+        assert abs(pr.pgm_success(e) - exact) <= 1e-7
+        assert abs(self.root_formula(kets) - exact) <= 1e-7
+
+    def test_tetrahedron_is_tight_frame(self):
+        # four qubit states summing to 2 * identity: G = 2 P with P a rank-2
+        # projector, so (sqrt G)_ii = 1/sqrt(2) and the PGM succeeds w.p. 1/2
+        c, s = 1 / np.sqrt(3), np.sqrt(2 / 3)
+        kets = [np.array([1, 0], dtype=complex)] + [
+            np.array([c, s * np.exp(2j * np.pi * k / 3)]) for k in range(3)
+        ]
+        e = pr.StateEnsemble(probs=(0.25,) * 4, states=tuple(kets))
+        assert self.frame_formula(kets) == pytest.approx(0.5, abs=1e-14)
+        assert pr.pgm_success(e) == pytest.approx(0.5, abs=1e-7)
+
+    @pytest.mark.parametrize("m, dim", [(2, 5), (3, 6), (4, 9)])
+    def test_fewer_kets_than_dimension(self, m, dim):
+        kets = self.random_kets(np.random.default_rng([41, m]), m, dim)
+        e = pr.StateEnsemble(probs=(1 / m,) * m, states=kets)
+        assert abs(pr.pgm_success(e) - self.root_formula(kets)) <= 1e-12
+        if m == 2:
+            helstrom = 0.5 * (1 + np.sqrt(1 - abs(np.vdot(*kets)) ** 2))
+            assert pr.pgm_success(e) == pytest.approx(helstrom, abs=1e-10)
+
+    def test_non_psd_gram_raises(self):
+        # an eigendecomposition with an eigenvalue below the PSD floor
+        w, v = np.linalg.eigh(np.diag([1.0, 1.0, -0.5]))
+        with pytest.raises(ValueError, match="not PSD"):
+            pr.pgm_from_eigh(w, v)
+        # the floor is -max(tol, 1e-8) * max(1, ||G||_F): noise above it is
+        # clipped to zero, anything below it raises
+        for tol, top in ((1e-9, 0.5), (1e-9, 100.0), (1e-6, 100.0)):
+            floor = max(tol, 1e-8) * max(1.0, top * np.sqrt(2))
+            w = np.array([-1.5 * floor, top, top])
+            with pytest.raises(ValueError, match="not PSD"):
+                pr.pgm_from_eigh(w, np.eye(3), tol)
+            w[0] = -0.5 * floor
+            assert pr.pgm_from_eigh(w, np.eye(3), tol) == pytest.approx(2 * top / 3)
+
 
 class TestPureSplit:
     """Kets make a pure ensemble; density matrices, even of rank 1, do not."""

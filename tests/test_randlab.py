@@ -85,12 +85,41 @@ class TestEsd:
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_equals_full_product_gram(self, d):
-        # Q from zherk's lower triangle gives the spectrum of psi psi^H
+        # G from zherk's lower triangle gives the spectrum of psi^H psi
         # formed as a full product, bit for bit
         ens = rl.random_protocol_ensemble(d, np.random.default_rng([17, d]))
         psi = np.column_stack(ens.states)
-        expected = np.linalg.eigvalsh(psi @ psi.conj().T)[::-1]
+        expected = np.linalg.eigvalsh(psi.conj().T @ psi)[::-1]
         assert np.array_equal(rl.esd(ens), expected)
+
+
+class TestSharedEigensolve:
+    """One eigh of G = Psi^H Psi feeds the spectrum and the PGM."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_matches_separate_spectrum_and_root(self, d):
+        kets = rl.random_protocol_ensemble(d, np.random.default_rng([61, d])).kets()
+        n = d * d
+        w, pgm = rl.spectrum_and_pgm(kets)
+        psi = np.column_stack(kets)
+        g = psi.conj().T @ psi
+        assert np.abs(w - np.linalg.eigvalsh(g)[::-1]).max() <= 1e-12 * n
+        assert list(w) == sorted(w, reverse=True)
+        # the square-root formula it replaces: (1/n) sum_i |(sqrt G)_ii|^2
+        root = nk.psd_sqrt(g, 1e-8)
+        assert abs(pgm - np.sum(np.abs(np.diag(root)) ** 2) / n) <= 1e-12
+
+    def test_experiment_above_pgm_limit_uses_esd(self):
+        st = rl.distinguishability_experiment(4, 1, seed=2, pgm_limit=3)
+        ens = rl.random_protocol_ensemble(4, np.random.default_rng([2, 0]))
+        assert st.first_spectrum == tuple(rl.esd(ens))
+        assert st.pgm == (None,)
+
+    def test_ensemble_kets_are_the_sampler_array(self):
+        ens = rl.random_protocol_ensemble(3, np.random.default_rng(12))
+        kets = ens.kets()
+        assert isinstance(kets, np.ndarray) and kets.shape == (9, 9)
+        assert kets.flags.c_contiguous and kets is ens.states
 
 
 class TestMarchenkoPastur:
@@ -267,7 +296,9 @@ class TestExperiment:
 
     def test_first_spectrum_is_trial_zero(self):
         st = rl.distinguishability_experiment(4, 3, seed=9)
-        trial0 = rl.esd(rl.random_protocol_ensemble(4, np.random.default_rng([9, 0])))
+        ens = rl.random_protocol_ensemble(4, np.random.default_rng([9, 0]))
+        trial0, pgm0 = rl.spectrum_and_pgm(ens.kets())  # d=4 <= pgm limit
+        assert st.pgm[0] == pgm0
         assert st.first_spectrum == tuple(trial0)
         assert len(st.first_spectrum) == 16
         assert st.max_eig[0] == st.first_spectrum[0]
