@@ -11,35 +11,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import errno
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import bases, randlab, rigidity, serialize
 from . import protocol as protocol_mod
-
-
-def _write_text(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _emit(doc, out_path: str | None) -> None:
-    """Write a JSON document (a dataclass becomes its field dict)."""
-    if dataclasses.is_dataclass(doc):
-        doc = dataclasses.asdict(doc)
-    _write_text(json.dumps(doc, indent=1, default=_json_default) + "\n", out_path)
 
 
 def _build_basis(args) -> bases.UnitaryBasis:
@@ -55,14 +35,14 @@ def _build_basis(args) -> bases.UnitaryBasis:
 
 
 def _cmd_basis_build(args) -> int:
-    _emit(serialize.basis_to_json(_build_basis(args)), args.output)
+    serialize.emit(serialize.basis_to_json(_build_basis(args)), args.output)
     return 0
 
 
 def _cmd_basis_check(args) -> int:
     basis = serialize.load_basis(args.input)
     report = bases.verify_orthogonal_unitary_basis(basis, args.tol)
-    _emit(report, args.output)
+    serialize.emit(report, args.output)
     return 0 if report.passed else 1
 
 
@@ -73,7 +53,7 @@ def _cmd_basis_certify(args) -> int:
     except bases.InvalidBasisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit({"certificates": [dataclasses.asdict(c) for c in certs]}, args.output)
+    serialize.emit({"certificates": [dataclasses.asdict(c) for c in certs]}, args.output)
     return 0
 
 
@@ -91,7 +71,7 @@ def _cmd_protocol_scramble(args) -> int:
 def _cmd_protocol_verify(args) -> int:
     proto = serialize.load_protocol(args.input)
     report = protocol_mod.verify_errorless(proto, args.tol)
-    _emit(report, args.output)
+    serialize.emit(report, args.output)
     return 0 if report.passed else 1
 
 
@@ -104,11 +84,14 @@ def _cmd_protocol_canonicalize(args) -> int:
         return 1
     if args.output:
         serialize.save_decomposition(dec, args.output)
-    _emit(report, None)
+    serialize.emit(report)
     return 0
 
 
 def _cmd_random_run(args) -> int:
+    for path in (args.output, args.esd_csv):  # fail before the trials, not after
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     stats = randlab.distinguishability_experiment(
         args.d, args.trials, args.seed, pgm_limit=args.pgm_limit
     )
@@ -116,7 +99,7 @@ def _cmd_random_run(args) -> int:
         serialize.save_eigenvalues_csv(stats.first_spectrum, args.esd_csv)
     doc = dataclasses.asdict(stats)
     del doc["first_spectrum"]
-    _emit({**doc, "limit_8_over_3pi": randlab.EIGHT_OVER_3PI}, args.output)
+    serialize.emit({**doc, "limit_8_over_3pi": randlab.EIGHT_OVER_3PI}, args.output)
     return 0
 
 
@@ -124,7 +107,7 @@ def _cmd_random_mp(args) -> int:
     params = randlab.MPParams(r=args.r)
     if args.esd_csv:
         eigenvalues = serialize.load_eigenvalues_csv(args.esd_csv)
-        _emit(
+        serialize.emit(
             {
                 "r": args.r,
                 "n": len(eigenvalues),
@@ -137,7 +120,7 @@ def _cmd_random_mp(args) -> int:
     lines = ["x,density,cdf"]
     for x, cdf in zip(xs, randlab.mp_cdf(params, xs)):
         lines.append(f"{float(x)!r},{randlab.mp_density(params, float(x))!r},{float(cdf)!r}")
-    _write_text("\n".join(lines) + "\n", args.output)
+    serialize.write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 

@@ -124,7 +124,6 @@ class SpectralDecomposition:
     """
 
     groups: tuple[tuple[float, np.ndarray], ...]
-    tol_used: float
 
     def reconstruct(self) -> np.ndarray:
         n = self.groups[0][1].shape[0]
@@ -155,7 +154,7 @@ def spectral_decomposition(h, group_tol: float = DEFAULT_TOL,
             proj = block @ block.conj().T
             groups.append((float(np.mean(w[start:i])), proj))
             start = i
-    return SpectralDecomposition(groups=tuple(groups), tol_used=group_tol)
+    return SpectralDecomposition(groups=tuple(groups))
 
 
 def _complement_basis(vectors: np.ndarray, n: int) -> np.ndarray:

@@ -14,6 +14,15 @@ import numpy as np
 from . import numkit as nk
 
 
+class InvalidProtocolError(ValueError):
+    """A protocol field fails its requirement; ``field`` names it."""
+
+    def __init__(self, field: str, detail: str):
+        super().__init__(f"field '{field}': {detail}")
+        self.field = field
+        self.detail = detail
+
+
 @dataclass(frozen=True)
 class Protocol:
     dim_a_prime: int
@@ -31,20 +40,24 @@ class Protocol:
         return (self.dim_a_prime, self.dim_a_dbl, self.dim_b)
 
     def validate(self, tol: float = nk.DEFAULT_TOL) -> None:
+        """Raise InvalidProtocolError naming the first field that fails: the
+        state's shape, then its density, each encoder's shape and unitarity,
+        then the encoder count."""
         n = self.dim_a * self.dim_b
         if self.tau.shape != (n, n):
-            raise ValueError(f"tau has shape {self.tau.shape}, expected {(n, n)}")
+            raise InvalidProtocolError("tau", f"shape {self.tau.shape} does not match dims")
         if not nk.is_density(self.tau, tol):
-            raise ValueError("tau is not a density matrix within tolerance")
-        if len(self.encoders) != self.dim_a_dbl**2:
-            raise ValueError(
-                f"need {self.dim_a_dbl ** 2} encoders, got {len(self.encoders)}"
-            )
-        for idx, u in enumerate(self.encoders):
-            if u.shape != (self.dim_a, self.dim_a):
-                raise ValueError(f"encoder {idx} has shape {u.shape}")
+            raise InvalidProtocolError("tau", "not a density matrix (Hermitian, PSD, trace 1)")
+        a = self.dim_a
+        for k, u in enumerate(self.encoders):
+            if u.shape != (a, a):
+                raise InvalidProtocolError(f"encoders[{k}]", f"shape {u.shape} is not {a}x{a}")
             if not nk.is_unitary(u, tol):
-                raise ValueError(f"encoder {idx} is not unitary within tolerance")
+                raise InvalidProtocolError(f"encoders[{k}]", "not a unitary matrix")
+        if len(self.encoders) != self.dim_a_dbl**2:
+            raise InvalidProtocolError(
+                "encoders", f"expected {self.dim_a_dbl ** 2} encoders, got {len(self.encoders)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,15 +95,6 @@ class StateEnsemble:
         if not self.pure:
             raise ValueError("ensemble members are density matrices, not kets")
         return self.states
-
-    def validate(self, tol: float = nk.DEFAULT_TOL) -> None:
-        if any(p < -tol for p in self.probs):
-            raise ValueError("negative probability")
-        if abs(sum(self.probs) - 1.0) > tol:
-            raise ValueError("probabilities do not sum to 1")
-        for k in range(len(self)):
-            if not nk.is_density(self.density(k), max(tol, 1e-8)):
-                raise ValueError(f"state {k} is not a density matrix")
 
 
 @dataclass(frozen=True)
@@ -201,17 +205,19 @@ def verify_errorless(p: Protocol, tol: float = nk.DEFAULT_TOL) -> ErrorlessRepor
 def hc_quantity(e: StateEnsemble) -> float:
     """Holevo-Curlander scalar Tr sqrt(sum_i p_i^2 rho_i^2)."""
     if e.pure:
-        psi = np.column_stack(e.states)
-        dp = np.asarray(e.probs)
-        g = (psi.conj().T @ psi) * np.outer(dp, dp)
-        w = np.linalg.eigvalsh((g + g.conj().T) / 2)
+        # for unit kets sum_i p_i^2 rho_i^2 = sum_i |p_i psi_i><p_i psi_i|, whose
+        # nonzero spectrum is that of the Gram matrix of the kets p_i psi_i
+        weighted = np.asarray(e.probs)[:, None] * np.asarray(e.kets())
+        w = np.linalg.eigvalsh(nk.gram(weighted), UPLO="L")
         return float(np.sqrt(np.clip(w, 0.0, None)).sum())
     acc = None
     for k, p in enumerate(e.probs):
         rho = e.density(k)
         term = (p * p) * (rho @ rho)
         acc = term if acc is None else acc + term
-    return float(np.trace(nk.psd_sqrt(acc)).real)
+    w = np.linalg.eigvalsh((acc + acc.conj().T) / 2)
+    slack = nk.DEFAULT_TOL * max(1.0, float(np.linalg.norm(acc)))
+    return float(np.sqrt(nk.clip_psd_spectrum(w, slack)).sum())
 
 
 def pgm_success(e: StateEnsemble, tol: float = nk.DEFAULT_TOL) -> float:
@@ -236,9 +242,12 @@ def pgm_from_eigh(w: np.ndarray, v: np.ndarray, tol: float = nk.DEFAULT_TOL) -> 
     (sqrt G)_{ii} = sum_k |V_{ik}|^2 sqrt(w_k), so the diagonal costs O(m^2)
     and sqrt G is never formed.  As in `numkit.psd_sqrt`, an eigenvalue below
     -max(tol, 1e-8) * max(1, ||G||_F) raises ValueError; ||G||_F is taken
-    from the spectrum.
+    from the spectrum.  Eigenvalues at or below m * eps * max(w) are rounding
+    noise of a rank-deficient G (more kets than dimensions) and count as 0;
+    their square roots, near sqrt(eps), would bias the result upward.
     """
     w = nk.clip_psd_spectrum(w, max(tol, 1e-8) * max(1.0, float(np.linalg.norm(w))))
+    w[w <= w.size * np.finfo(float).eps * w.max(initial=0.0)] = 0.0
     diag = (v.real**2 + v.imag**2) @ np.sqrt(w)
     return float(np.mean(diag**2))
 

@@ -9,6 +9,11 @@ triple onto (Z, X, Y) (`pauli_frame`).  `canonicalize` composes the stages
 and tracks every Alice-side correction into the final decomposition, which
 `verify_decomposition` checks against the original protocol.
 
+Each stage computes a fact once and passes it on: `to_nice_form` finds the
+positive eigenspaces of rho^{A'} once, as (eigenvalue, projector,
+orthonormal basis), and hands them with their summed support projector to
+`block_diagonalize`, which hands the support on to `match_blocks`.
+
 All stage tolerances derive from a single knob (default 1e-8).  Every stage
 residual goes through one helper, `_check`, which raises `NiceFormError`
 naming the requirement (item) that failed unless the residual is within its
@@ -30,7 +35,7 @@ import scipy.linalg
 
 from . import numkit as nk
 from .numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
-from .protocol import Protocol, verify_errorless
+from .protocol import Protocol, _state_factor, verify_errorless
 
 DEFAULT_STAGE_TOL = 1e-8
 
@@ -56,8 +61,9 @@ class NiceFormData:
     w: np.ndarray  # isometry B -> B' (x) B'', shape (2*dim_b_prime, dim_b)
     c: tuple[np.ndarray, ...]  # 4 unitaries on A'
     rho: np.ndarray  # density on A' (x) B'
-    pi_groups: nk.SpectralDecomposition  # spectrum of rho^{A'}
-    dim_b_prime: int
+    # positive eigenspaces of rho^{A'}, eigenvalues descending: (lam, projector, basis)
+    eigenspaces: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    support: np.ndarray  # projector on supp(rho^{A'}), the sum of the eigenspaces
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,6 @@ class BlockForm:
     blocks: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
     corrections: tuple[np.ndarray, ...]
     support: np.ndarray
-    dim_a_prime: int
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,13 @@ def _principal_unitary_sqrt(u: np.ndarray) -> np.ndarray:
     return (z * np.exp(0.5j * phases)) @ z.conj().T
 
 
-def _positive_groups(dec: nk.SpectralDecomposition, tol: float):
-    lam_max = max(lam for lam, _ in dec.groups)
-    return [(lam, p) for lam, p in dec.groups if lam > tol * max(lam_max, 1.0)]
+def _positive_eigenspaces(h: np.ndarray, tol: float):
+    """(eigenvalue, projector, basis) of the eigenspaces of h above the rank cut."""
+    groups = nk.spectral_decomposition(h, group_tol=math.sqrt(tol), tol=1e-6).groups
+    lam_max = max(lam for lam, _ in groups)
+    return [
+        (lam, p, _projector_basis(p)) for lam, p in groups if lam > tol * max(lam_max, 1.0)
+    ]
 
 
 def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
@@ -164,11 +173,9 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     tau_v = vb @ p.tau @ vb.conj().T
 
     # purification into a reference system of dimension rank(tau)
-    w_eig, vecs = np.linalg.eigh((tau_v + tau_v.conj().T) / 2)
-    keep = w_eig > tol * max(w_eig.max(initial=0.0), 1.0)
-    mu, tvecs = w_eig[keep], vecs[:, keep]
-    r0 = int(mu.size)
-    pur = (np.sqrt(mu)[:, None] * tvecs.T).reshape(-1)  # order (R, A', A'', B)
+    factor = _state_factor(tau_v, tol)
+    r0 = factor.shape[1]
+    pur = factor.T.reshape(-1)  # order (R, A', A'', B)
 
     # Tr_B of the first encoded pure state must factor as rho^{RA'} (x) 1/2
     t_mat = pur.reshape(r0 * a1 * 2, b)
@@ -216,8 +223,11 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     tau_a = nk.partial_trace(tau_v, [dim_a, b], [0])
     zeta = nk.partial_trace(tau_a, [a1, 2], [0])
     group_tol = math.sqrt(tol)
-    pi_groups = nk.spectral_decomposition(zeta, group_tol=group_tol, tol=1e-6)
-    positive = _positive_groups(pi_groups, tol)
+    positive = _positive_eigenspaces(zeta, tol)
+    support = np.zeros((a1, a1), dtype=complex)
+    for _, proj, _ in positive:
+        support += proj
+    comp = nk._complement_basis(_projector_basis(support), a1)
 
     cs, enc_nice = [], []
     for i, u in enumerate(enc_v):
@@ -229,34 +239,29 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         zeta_i = nk.partial_trace(m_i, [a1, 2], [0])
         half_resid = np.linalg.norm(m_i - np.kron(zeta_i, ID2 / 2))
         _check("item3", f"encoder {i}: marginal factorization residual", half_resid, tol * 10)
-        dec_i = nk.spectral_decomposition(zeta_i, group_tol=group_tol, tol=1e-6)
-        pos_i = _positive_groups(dec_i, tol)
+        pos_i = _positive_eigenspaces(zeta_i, tol)
         if len(pos_i) != len(positive):
             raise NiceFormError("item3", f"encoder {i}: eigenspace count mismatch")
         c_i = np.zeros((a1, a1), dtype=complex)
-        covered = np.zeros((a1, a1), dtype=complex)
         covered_i = np.zeros((a1, a1), dtype=complex)
-        for (lam, proj), (lam_i, proj_i) in zip(positive, pos_i):
-            basis, basis_i = _projector_basis(proj), _projector_basis(proj_i)
+        for (lam, _, basis), (lam_i, proj_i, basis_i) in zip(positive, pos_i):
             if basis.shape[1] != basis_i.shape[1]:
                 raise NiceFormError("item3", f"encoder {i}: eigenspace rank mismatch")
             _check("item3", f"encoder {i}: eigenvalue shift", abs(lam - lam_i), group_tol * 10)
             c_i += basis @ basis_i.conj().T
-            covered += proj
             covered_i += proj_i
-        comp = nk._complement_basis(_projector_basis(covered), a1)
         comp_i = nk._complement_basis(_projector_basis(covered_i), a1)
         c_i += comp @ comp_i.conj().T
         cs.append(c_i)
         enc_nice.append(np.kron(c_i, ID2) @ u)
 
+    lifted = [(lam, np.kron(proj, ID2)) for lam, proj, _ in positive]
     for i in range(4):
         for j in range(4):
             if i == j:
                 continue
             prod = enc_nice[i] @ enc_nice[j].conj().T
-            for lam, proj in positive:
-                pk = np.kron(proj, ID2)
+            for lam, pk in lifted:
                 delta = nk.partial_trace(pk @ prod @ pk, [a1, 2], [0])
                 what = f"encoders ({i},{j}) eigenspace {lam:.4g}: residual"
                 _check("item4", what, np.linalg.norm(delta), tol * 10)
@@ -274,8 +279,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         w=w_iso,
         c=tuple(cs),
         rho=rho,
-        pi_groups=pi_groups,
-        dim_b_prime=dim_b_prime,
+        eigenspaces=tuple(positive),
+        support=support,
     )
 
 
@@ -305,20 +310,14 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
     Hermitian unitary 2x2 factors.
     """
     a1 = n.protocol.dim_a_prime
-    positive = _positive_groups(n.pi_groups, tol)
     group_tol = math.sqrt(tol)
-    support = np.zeros((a1, a1), dtype=complex)
-    for _, proj in positive:
-        support += proj
 
     all_blocks, corrections = [], []
     for i in (1, 2, 3):
         encoder = n.protocol.encoders[i]
         blocks_i: list[tuple[np.ndarray, np.ndarray]] = []
-        s_i = np.eye(a1, dtype=complex) - support
-        for _, proj in positive:
-            basis = _projector_basis(proj)
-            m = basis.shape[1]
+        s_i = np.eye(a1, dtype=complex) - n.support
+        for _, _, basis in n.eigenspaces:
             mat, f, g, h = _restricted_block_split(encoder, basis, tol)
             d_f, t_f = nk.polar_decomposition(f)
             _, t_g = nk.polar_decomposition(g)
@@ -382,8 +381,7 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
     return BlockForm(
         blocks=tuple(all_blocks),
         corrections=tuple(corrections),
-        support=support,
-        dim_a_prime=a1,
+        support=n.support,
     )
 
 
@@ -399,14 +397,12 @@ def common_eigenvector(c, d, e, tol: float = DEFAULT_STAGE_TOL) -> np.ndarray:
     return vh[0].conj()
 
 
-def _reproject(q: np.ndarray, expected_rank: int, tol: float) -> np.ndarray:
-    w, v = np.linalg.eigh((q + q.conj().T) / 2)
-    keep = w > 0.5
-    if int(keep.sum()) != expected_rank:
+def _reproject(q: np.ndarray, expected_rank: int) -> np.ndarray:
+    basis = _projector_basis(q)
+    if basis.shape[1] != expected_rank:
         raise NiceFormError(
-            "match", f"deflation changed rank to {int(keep.sum())}, expected {expected_rank}"
+            "match", f"deflation changed rank to {basis.shape[1]}, expected {expected_rank}"
         )
-    basis = v[:, keep]
     return basis @ basis.conj().T
 
 
@@ -418,7 +414,7 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
     the overlap graph, peels off a common eigenvector, and deflates the
     three projectors until the support is exhausted.
     """
-    a1 = bf.dim_a_prime
+    a1 = bf.support.shape[0]
     merge_thr = tol * math.sqrt(2.0)
     coarse: list[list[list]] = []  # per encoder: [Q, R, rank]
     sign_ops = []
@@ -484,7 +480,7 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
             if g[2] == 0:
                 lst[:] = [item for item in lst if item is not g]
             else:
-                g[0] = _reproject(g[0] - peel, g[2], tol)
+                g[0] = _reproject(g[0] - peel, g[2])
     if lists[1] or lists[2]:
         raise NiceFormError("match", "encoders exhausted unevenly; input invalid")
 
@@ -557,7 +553,6 @@ def canonicalize(
     mb = match_blocks(bf, tol)
     frames = [pauli_frame(*triple, tol) for triple in mb.triples]
 
-    a1 = p.dim_a_prime
     orient = mb.residual.astype(complex).copy()
     for peel, (_, sign) in zip(mb.k_projectors, frames):
         orient += sign * peel

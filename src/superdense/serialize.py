@@ -8,14 +8,15 @@ bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 from typing import Any
 
 import numpy as np
 
-from . import numkit as nk
 from .bases import UnitaryBasis
-from .protocol import Protocol
+from .protocol import InvalidProtocolError, Protocol
 from .rigidity import CanonicalDecomposition
 
 
@@ -61,10 +62,27 @@ def _load_json(path: str) -> Any:
         raise SerializationError(path, "<document>", f"invalid JSON: {exc}") from exc
 
 
-def _dump_json(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+def write_text(text: str, path: str | None) -> None:
+    """Write text to a file, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json_default(obj):
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def emit(doc: Any, path: str | None = None) -> None:
+    """Write JSON (indent 1) to a file or stdout; a dataclass becomes its
+    field dict and a complex number a [re, im] pair."""
+    if dataclasses.is_dataclass(doc):
+        doc = dataclasses.asdict(doc)
+    write_text(json.dumps(doc, indent=1, default=_json_default) + "\n", path)
 
 
 def _require(doc: dict, key: str, path: str) -> Any:
@@ -93,7 +111,7 @@ def basis_to_json(b: UnitaryBasis) -> dict:
 
 
 def save_basis(b: UnitaryBasis, path: str) -> None:
-    _dump_json(basis_to_json(b), path)
+    emit(basis_to_json(b), path)
 
 
 def load_basis(path: str) -> UnitaryBasis:
@@ -133,7 +151,7 @@ def save_protocol(p: Protocol, path: str) -> None:
         "tau": matrix_to_json(p.tau),
         "encoders": [matrix_to_json(u) for u in p.encoders],
     }
-    _dump_json(doc, path)
+    emit(doc, path)
 
 
 def load_protocol(path: str) -> Protocol:
@@ -150,22 +168,10 @@ def load_protocol(path: str) -> Protocol:
         for k, u in enumerate(_require_list(doc, "encoders", path))
     )
     p = Protocol(dims["dim_a_prime"], dims["dim_a_dbl"], dims["dim_b"], tau, encoders)
-    n = p.dim_a * p.dim_b
-    if tau.shape != (n, n):
-        raise SerializationError(path, "tau", f"shape {tau.shape} does not match dims")
-    if not nk.is_density(tau):
-        raise SerializationError(path, "tau", "not a density matrix (Hermitian, PSD, trace 1)")
-    for k, u in enumerate(encoders):
-        if u.shape != (p.dim_a, p.dim_a):
-            raise SerializationError(
-                path, f"encoders[{k}]", f"shape {u.shape} is not {p.dim_a}x{p.dim_a}"
-            )
-        if not nk.is_unitary(u):
-            raise SerializationError(path, f"encoders[{k}]", "not a unitary matrix")
-    if len(encoders) != p.dim_a_dbl**2:
-        raise SerializationError(
-            path, "encoders", f"expected {p.dim_a_dbl ** 2} encoders, got {len(encoders)}"
-        )
+    try:
+        p.validate()
+    except InvalidProtocolError as exc:
+        raise SerializationError(path, exc.field, exc.detail) from exc
     return p
 
 
@@ -180,7 +186,7 @@ def save_decomposition(dec: CanonicalDecomposition, path: str) -> None:
             for p, s, sign in dec.blocks
         ],
     }
-    _dump_json(doc, path)
+    emit(doc, path)
 
 
 def load_decomposition(path: str) -> CanonicalDecomposition:

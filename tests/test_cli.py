@@ -113,6 +113,20 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and "x.json" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flag", ["-o", "--esd-csv"])
+    def test_missing_output_directory_fails_before_first_trial(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            pytest.fail("the experiment ran although its output cannot be written")
+
+        monkeypatch.setattr(randlab, "distinguishability_experiment", no_run)
+        out = str(tmp_path / "missing" / "x.out")
+        assert main(["random", "run", "--d", "2", "--trials", "1", flag, out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "x.out" in captured.err
+
     def test_directory_input_is_usage_error(self, tmp_path, capsys):
         assert main(["basis", "certify", str(tmp_path)]) == 2
         captured = capsys.readouterr()
@@ -313,6 +327,19 @@ class TestDeterminism:
                 == 0
             )
         assert read(p1) == read(p2)
+
+    def test_canonicalize_bytes(self, tmp_path, capsys):
+        proto = str(tmp_path / "p.json")
+        serialize.save_protocol(
+            pr.random_scrambled_bw(np.random.default_rng(13), 3, 2, 2)[0], proto
+        )
+        outputs = []
+        for name in ("a.json", "b.json"):
+            path = str(tmp_path / name)
+            assert main(["protocol", "canonicalize", proto, "-o", path]) == 0
+            outputs.append((capsys.readouterr().out, read(path)))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["passed"]
 
 
 class TestFlows:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,26 @@ class TestBennettWiesner:
 
     def test_validate(self):
         pr.bennett_wiesner().validate()
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda p: {"tau": np.eye(3) / 3}, "tau"),
+            (lambda p: {"tau": np.zeros((4, 4))}, "tau"),
+            (lambda p: {"encoders": (p.encoders[0], np.eye(3)) + p.encoders[2:]}, "encoders[1]"),
+            (lambda p: {"encoders": p.encoders[:2] + (2 * p.encoders[2],) + p.encoders[3:]},
+             "encoders[2]"),
+            (lambda p: {"encoders": p.encoders[:3]}, "encoders"),
+            # encoders are checked one by one before their count
+            (lambda p: {"encoders": (p.encoders[0], 2 * p.encoders[1])}, "encoders[1]"),
+        ],
+    )
+    def test_validate_names_field(self, change, field):
+        bw = pr.bennett_wiesner()
+        bad = dataclasses.replace(bw, **change(bw))
+        with pytest.raises(pr.InvalidProtocolError) as err:
+            bad.validate()
+        assert err.value.field == field and f"field '{field}'" in str(err.value)
 
 
 class TestCanonicalProtocol:
@@ -240,12 +262,13 @@ class TestPgm:
     @pytest.mark.parametrize("m, dim", [(5, 2), (9, 3), (16, 4)])
     def test_more_kets_than_dimension(self, m, dim):
         # G is m x m of rank dim; its m - dim null eigenvalues come out as
-        # rounding noise of order 1e-16, whose square roots move the result by
-        # up to about 1e-8, in the square-root formula as in pgm_success
+        # rounding noise of order 1e-16, whose square roots would move the
+        # result by up to about 1e-8.  pgm_success cuts them; the square-root
+        # formula keeps them
         kets = self.random_kets(np.random.default_rng([37, m]), m, dim)
         e = pr.StateEnsemble(probs=(1 / m,) * m, states=kets)
         exact = self.frame_formula(kets)
-        assert abs(pr.pgm_success(e) - exact) <= 1e-7
+        assert abs(pr.pgm_success(e) - exact) <= 1e-12
         assert abs(self.root_formula(kets) - exact) <= 1e-7
 
     def test_tetrahedron_is_tight_frame(self):
@@ -257,7 +280,7 @@ class TestPgm:
         ]
         e = pr.StateEnsemble(probs=(0.25,) * 4, states=tuple(kets))
         assert self.frame_formula(kets) == pytest.approx(0.5, abs=1e-14)
-        assert pr.pgm_success(e) == pytest.approx(0.5, abs=1e-7)
+        assert pr.pgm_success(e) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("m, dim", [(2, 5), (3, 6), (4, 9)])
     def test_fewer_kets_than_dimension(self, m, dim):

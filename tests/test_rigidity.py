@@ -63,7 +63,7 @@ class TestToNiceForm:
     def test_bennett_wiesner(self):
         nf = rg.to_nice_form(pr.bennett_wiesner())
         assert np.allclose(nf.v, ID2)
-        assert nf.dim_b_prime == 1
+        assert nf.protocol.dim_b // 2 == 1
         assert nf.rho.shape == (1, 1) and nf.rho[0, 0] == pytest.approx(1.0)
         assert nk.trace_distance(nf.protocol.tau, epr_density()) < 1e-12
 
@@ -77,22 +77,22 @@ class TestToNiceForm:
             p, _ = planted_protocol(3, 3, 2, seed=seed)
             nf = rg.to_nice_form(p)
             proto = nf.protocol
-            a1 = proto.dim_a_prime
+            a1, dim_b_prime = proto.dim_a_prime, proto.dim_b // 2
             # item 2: state is rho (x) EPR
             target = nk.permute_factors(
                 nk.tensor(nf.rho, epr_density()),
-                [a1, nf.dim_b_prime, 2, 2],
+                [a1, dim_b_prime, 2, 2],
                 [0, 2, 1, 3],
             )
             assert nk.trace_distance(proto.tau, target) < 1e-8
             # item 3: encoders commute with the Alice marginal
-            tau_a = nk.partial_trace(proto.tau, [2 * a1, 2 * nf.dim_b_prime], [0])
+            tau_a = nk.partial_trace(proto.tau, [2 * a1, 2 * dim_b_prime], [0])
             for u in proto.encoders:
                 assert np.linalg.norm(u @ tau_a @ u.conj().T - tau_a) < 1e-8
             # item 4: per-eigenspace partial-trace orthogonality
             positive = [
                 (lam, proj)
-                for lam, proj in nf.pi_groups.groups
+                for lam, proj, _ in nf.eigenspaces
                 if lam > 1e-8
             ]
             for i in range(4):
@@ -105,12 +105,24 @@ class TestToNiceForm:
                         delta = nk.partial_trace(pk @ prod @ pk, [a1, 2], [0])
                         assert np.linalg.norm(delta) < 1e-8
 
+    def test_eigenspaces_are_passed_on(self):
+        p, _ = planted_protocol(4, 3, 3, seed=5)
+        nf = rg.to_nice_form(p)
+        lams = [lam for lam, _, _ in nf.eigenspaces]
+        assert lams == sorted(lams, reverse=True) and min(lams) > 1e-8
+        for _, proj, basis in nf.eigenspaces:
+            assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+            assert np.allclose(basis @ basis.conj().T, proj, atol=1e-12)
+        total = sum(proj for _, proj, _ in nf.eigenspaces)
+        assert np.array_equal(nf.support, total)
+        assert rg.block_diagonalize(nf).support is nf.support
+
     def test_epr_fidelity(self):
         p, _ = planted_protocol(2, 2, 2, seed=9)
         nf = rg.to_nice_form(p)
         a1 = nf.protocol.dim_a_prime
         reduced = nk.partial_trace(
-            nf.protocol.tau, [a1, 2, nf.dim_b_prime, 2], [1, 3]
+            nf.protocol.tau, [a1, 2, nf.protocol.dim_b // 2, 2], [1, 3]
         )
         assert nk.trace_distance(reduced, epr_density()) < 1e-8
 
