@@ -3,7 +3,8 @@
 Subcommands: ``basis build|check|certify``, ``protocol
 scramble|verify|canonicalize``, ``random run|mp``.  Data goes to files or
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error, or a file that cannot be read or written.
+failure, 2 usage or parse error, a file that cannot be read or written, or
+an array that cannot be allocated.
 A fixed seed makes outputs byte-identical across runs of the same build.
 """
 
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # SerializationError, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array too large to allocate, e.g. random run at large d
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

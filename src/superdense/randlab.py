@@ -12,7 +12,8 @@ The n = d^2 kets of a random protocol are the rows of one (n, n) array.
 Each trial forms their Gram matrix G = Psi^H Psi once (`numkit.gram`); G
 and Q = Psi Psi^H share their spectrum.  Where the PGM is computed, one
 Hermitian eigensolve of G feeds both the spectrum and the PGM
-(`spectrum_and_pgm`); elsewhere `esd` computes the eigenvalues alone.
+(`spectrum_and_pgm`); elsewhere `esd` computes the eigenvalues alone,
+with LAPACK's two-stage solver (`numkit.hermitian_eigenvalues`).
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def esd(e: StateEnsemble) -> np.ndarray:
     Q = sum |psi><psi|; for the d^2 kets of a random protocol both are
     d^2 x d^2, so this is Q's spectrum.
     """
-    return np.linalg.eigvalsh(nk.gram(e.kets()), UPLO="L")[::-1].copy()
+    return nk.hermitian_eigenvalues(nk.gram(e.kets()))[::-1].copy()
 
 
 def spectrum_and_pgm(kets) -> tuple[np.ndarray, float]:

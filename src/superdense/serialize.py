@@ -9,7 +9,9 @@ bit-exact.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import sys
 from typing import Any
 
@@ -36,19 +38,26 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(data: Any, path: str, field: str) -> np.ndarray:
     try:
-        rows = []
-        width = None
-        for row in data:
-            vals = [complex(float(re), float(im)) for re, im in row]
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError("ragged rows")
-            rows.append(vals)
-        if not rows:
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of rows, got {type(data).__name__}")
+        pairs = list(itertools.chain.from_iterable(data))
+        if not pairs:
             raise ValueError("empty matrix")
-        return np.array(rows, dtype=complex)
-    except (TypeError, ValueError) as exc:
+        width = len(data[0])
+        if any(len(row) != width for row in data):
+            raise ValueError("ragged rows")
+        if set(map(len, pairs)) != {2}:
+            raise ValueError("entries must be [re, im] pairs")
+        parts = list(itertools.chain.from_iterable(pairs))
+        # exact types: JSON true/false load as bool, a subclass of int
+        if not set(map(type, parts)) <= {int, float}:
+            raise ValueError("entries must be JSON numbers")
+        m = np.array(parts, dtype=float).view(complex).reshape(len(data), width)
+        # Python's json reads NaN and Infinity, which are not JSON
+        if not np.isfinite(m).all():
+            raise ValueError("entries must be finite, not NaN or Infinity")
+        return m
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(path, field, f"not a valid complex matrix: {exc}") from exc
 
 
@@ -203,7 +212,7 @@ def load_decomposition(path: str) -> CanonicalDecomposition:
         p = matrix_from_json(_require(blk, "p", path), path, f"blocks[{k}].p")
         s = matrix_from_json(_require(blk, "s", path), path, f"blocks[{k}].s")
         sign = _require(blk, "sign", path)
-        if sign not in (-1, 1):
+        if isinstance(sign, bool) or sign not in (-1, 1):
             raise SerializationError(path, f"blocks[{k}].sign", f"expected +-1, got {sign!r}")
         blocks.append((p, s, int(sign)))
     return CanonicalDecomposition(v=v, w=w, c=c, rho=rho, blocks=tuple(blocks))
@@ -225,6 +234,10 @@ def load_eigenvalues_csv(path: str) -> list[float]:
     if not lines or lines[0] != "eigenvalue":
         raise SerializationError(path, "header", "expected header line 'eigenvalue'")
     try:
-        return [float(ln) for ln in lines[1:]]
+        vals = [float(ln) for ln in lines[1:]]
     except ValueError as exc:
         raise SerializationError(path, "rows", f"non-numeric eigenvalue: {exc}") from exc
+    bad = [x for x in vals if not math.isfinite(x)]
+    if bad:
+        raise SerializationError(path, "rows", f"non-finite eigenvalue {bad[0]!r}")
+    return vals

@@ -76,6 +76,18 @@ class TestRoundTrip:
                 serialize.load_decomposition(path)
 
 
+    @pytest.mark.parametrize("data", [
+        [[[1.0, 0.0, 2.0], [1.0]]],  # pairs of 3 and 1 entries: as many numbers as two pairs
+        [[[1, 0], [1, 0]], [[1, 0]], [[1, 0], [1, 0], [1, 0]]],  # ragged: six pairs in three rows
+        [[[1.0, 0.0]], [[1.0]]],
+        [], [[]], {"rows": 1}, [[5]], [["ab"]],
+        [[[1e400, 0.0]]], [[[10**400, 0.0]]],
+    ])
+    def test_malformed_matrix_is_rejected(self, data):
+        with pytest.raises(serialize.SerializationError, match="'m'"):
+            serialize.matrix_from_json(data, "x.json", "m")
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["nosuch"]) == 2
@@ -275,6 +287,64 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error:") and "seed" in captured.err
+
+    @pytest.mark.parametrize("row", ["nan", "inf", "-inf"])
+    def test_non_finite_esd_csv_is_usage_error(self, row, tmp_path, capsys):
+        csv = tmp_path / "esd.csv"
+        csv.write_text(f"eigenvalue\n0.5\n{row}\n1.5\n")
+        assert main(["random", "mp", "--esd-csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'rows'" in captured.err
+
+    @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("inf")],
+                                       [float("-inf"), 0.0], [True, False], ["1", "0"]])
+    def test_non_number_basis_entry_is_usage_error(self, entry, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        serialize.save_basis(bases.clock_shift_basis(3), str(path))
+        doc = json.loads(read(path))
+        doc["elements"][2][1][1] = entry
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity, as Python's json allows
+        assert main(["basis", "check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'elements[2]'" in captured.err
+
+    @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [False, False]])
+    def test_non_number_tau_entry_is_usage_error(self, entry, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        serialize.save_protocol(pr.bennett_wiesner(), str(path))
+        doc = json.loads(read(path))
+        doc["tau"][0][1] = entry  # a zero entry: read as 0, [False, False] would pass
+        path.write_text(json.dumps(doc))
+        assert main(["protocol", "verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'tau'" in err
+
+    def test_boolean_block_sign_is_rejected(self, tmp_path):
+        _, dec = pr.random_scrambled_bw(np.random.default_rng(2), 2, 2, 1)
+        path = tmp_path / "dec.json"
+        serialize.save_decomposition(dec, str(path))
+        doc = json.loads(read(path))
+        doc["blocks"][0]["sign"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.SerializationError, match=r"'blocks\[0\]\.sign'"):
+            serialize.load_decomposition(str(path))
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 14.6 TiB for an array"), "Unable to allocate 14.6 TiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_allocation_failure_is_usage_error(self, exc, message, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(randlab, "distinguishability_experiment", fail)
+        out = tmp_path / "stats.json"
+        assert main(["random", "run", "--d", "1000", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: {message}") and "Traceback" not in captured.err
 
 
 class TestReportKeys:

@@ -1,3 +1,6 @@
+import glob
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -215,6 +218,59 @@ class TestPsdSpectrumAndGram:
             assert np.abs(np.tril(g) - np.tril(ref)).max() <= 1e-13
             assert not np.triu(g, 1).any()
             assert np.allclose(np.linalg.eigvalsh(g, UPLO="L"), np.linalg.eigvalsh(ref))
+
+
+class TestHermitianEigenvalues:
+    """The two-stage solver against `np.linalg.eigvalsh(a, UPLO="L")`."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 17, 32])
+    def test_agrees_with_eigvalsh_on_random_gram(self, d):
+        g = nk.gram(rl.random_protocol_ensemble(d, np.random.default_rng([71, d])).kets())
+        ref = np.linalg.eigvalsh(g, UPLO="L")
+        w = nk.hermitian_eigenvalues(g)
+        assert w.shape == (d * d,) and w.dtype == np.float64
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(w - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_order_does_not_matter_and_input_is_kept(self):
+        h = random_hermitian(np.random.default_rng(72), 40)
+        f = np.asfortranarray(h)
+        before = h.copy()
+        w = nk.hermitian_eigenvalues(h)
+        assert w.tobytes() == nk.hermitian_eigenvalues(f).tobytes()
+        assert np.array_equal(h, before) and np.array_equal(f, before)
+
+    def test_reads_lower_triangle_only(self):
+        h = random_hermitian(np.random.default_rng(73), 9)
+        junk = h + np.triu(np.full_like(h, 5.0 + 7.0j), 1)
+        assert nk.hermitian_eigenvalues(junk).tobytes() == nk.hermitian_eigenvalues(h).tobytes()
+
+    @pytest.mark.parametrize("path", ["two-stage", "fallback"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_non_finite_input_raises(self, bad, path, monkeypatch):
+        if path == "fallback":
+            monkeypatch.setattr(nk, "_zheevd_2stage", lambda: None)
+        # eigvalsh returns NaN eigenvalues for this NaN input, and raises for the others
+        h = np.eye(4, dtype=complex)
+        h[2, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            nk.hermitian_eigenvalues(h)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(np.linalg.LinAlgError, match="square"):
+            nk.hermitian_eigenvalues(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_fallback_is_eigvalsh(self, n, monkeypatch):
+        monkeypatch.setattr(nk, "_zheevd_2stage", lambda: None)
+        h = random_hermitian(np.random.default_rng([74, n]), n)
+        assert nk.hermitian_eigenvalues(h).tobytes() == np.linalg.eigvalsh(h, UPLO="L").tobytes()
+
+    def test_routine_found_in_numpys_openblas(self):
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        if not glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+            pytest.skip("this numpy build vendors no scipy-openblas64")
+        assert nk._zheevd_2stage() is not None
 
 
 def haar_reference(d, rng):

@@ -86,10 +86,10 @@ class TestEsd:
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_equals_full_product_gram(self, d):
         # G from zherk's lower triangle gives the spectrum of psi^H psi
-        # formed as a full product, bit for bit
+        # formed as a full product, bit for bit, through the same eigensolver
         ens = rl.random_protocol_ensemble(d, np.random.default_rng([17, d]))
         psi = np.column_stack(ens.states)
-        expected = np.linalg.eigvalsh(psi.conj().T @ psi)[::-1]
+        expected = nk.hermitian_eigenvalues(psi.conj().T @ psi)[::-1]
         assert np.array_equal(rl.esd(ens), expected)
 
 
