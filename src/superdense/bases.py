@@ -225,8 +225,8 @@ def werner3_basis(beta: complex) -> UnitaryBasis:
     Any unit-modulus beta gives an orthogonal unitary basis; beta != 1
     breaks projective commutativity.
     """
-    if abs(abs(beta) - 1.0) > 1e-12:
-        raise ValueError("beta must have unit modulus")
+    if not abs(abs(beta) - 1.0) <= 1e-12:
+        raise ValueError("beta must be finite with unit modulus")
     x, z = shift_matrix(3), clock_matrix(3)
     m = np.diag([beta, 1.0, 1.0]).astype(complex)
     elements, labels = [], []

@@ -23,6 +23,14 @@ from . import bases, randlab, rigidity, serialize
 from . import protocol as protocol_mod
 
 
+def tolerance(text: str) -> float:
+    """argparse type of every --tol flag: a finite positive float."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 def _build_basis(args) -> bases.UnitaryBasis:
     if args.kind == "clock-shift":
         return bases.clock_shift_basis(args.d)
@@ -153,13 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = basis_sub.add_parser("check", help="verify orthogonality and unitarity")
     check.add_argument("input")
-    check.add_argument("--tol", type=float, default=1e-9)
+    check.add_argument("--tol", type=tolerance, default=1e-9)
     check.add_argument("-o", "--output", default=None)
     check.set_defaults(func=_cmd_basis_check)
 
     certify = basis_sub.add_parser("certify", help="non-equivalence certificates")
     certify.add_argument("input")
-    certify.add_argument("--tol", type=float, default=1e-9)
+    certify.add_argument("--tol", type=tolerance, default=1e-9)
     certify.add_argument("-o", "--output", default=None)
     certify.set_defaults(func=_cmd_basis_certify)
 
@@ -177,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = proto_sub.add_parser("verify", help="check errorless-ness")
     verify.add_argument("input")
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=tolerance, default=1e-9)
     verify.add_argument("-o", "--output", default=None)
     verify.set_defaults(func=_cmd_protocol_verify)
 
     canon = proto_sub.add_parser("canonicalize", help="recover the canonical decomposition")
     canon.add_argument("input")
-    canon.add_argument("--tol", type=float, default=rigidity.DEFAULT_STAGE_TOL)
+    canon.add_argument("--tol", type=tolerance, default=rigidity.DEFAULT_STAGE_TOL)
     canon.add_argument("-o", "--output", default=None)
     canon.set_defaults(func=_cmd_protocol_canonicalize)
 

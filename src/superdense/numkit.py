@@ -122,19 +122,17 @@ def permute_factors(m, dims, perm) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalue groups of a Hermitian matrix.
 
-    ``groups`` is a list of (eigenvalue, projector) pairs, eigenvalues sorted
+    ``groups`` is a tuple of (eigenvalue, basis) pairs, eigenvalues sorted
     descending; eigenvalues closer than the grouping tolerance are merged
-    into a single projector.  The projectors sum to the identity.
+    into one group.  ``basis`` holds the group's orthonormal eigenvector
+    columns, a column slice of one eigendecomposition, so the bases side by
+    side form a unitary and the projectors B B^H sum to the identity.
     """
 
     groups: tuple[tuple[float, np.ndarray], ...]
 
     def reconstruct(self) -> np.ndarray:
-        n = self.groups[0][1].shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        for lam, proj in self.groups:
-            out += lam * proj
-        return out
+        return sum(lam * (basis @ basis.conj().T) for lam, basis in self.groups)
 
 
 def spectral_decomposition(h, group_tol: float = DEFAULT_TOL,
@@ -154,9 +152,7 @@ def spectral_decomposition(h, group_tol: float = DEFAULT_TOL,
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or (w[i - 1] - w[i]) > group_tol:
-            block = v[:, start:i]
-            proj = block @ block.conj().T
-            groups.append((float(np.mean(w[start:i])), proj))
+            groups.append((float(np.mean(w[start:i])), v[:, start:i]))
             start = i
     return SpectralDecomposition(groups=tuple(groups))
 

@@ -9,10 +9,13 @@ triple onto (Z, X, Y) (`pauli_frame`).  `canonicalize` composes the stages
 and tracks every Alice-side correction into the final decomposition, which
 `verify_decomposition` checks against the original protocol.
 
-Each stage computes a fact once and passes it on: `to_nice_form` finds the
-positive eigenspaces of rho^{A'} once, as (eigenvalue, projector,
-orthonormal basis), and hands them with their summed support projector to
-`block_diagonalize`, which hands the support on to `match_blocks`.
+Each stage computes a fact once and passes it on, and holds an eigenspace
+as the orthonormal eigenvector columns of the eigendecomposition that found
+it.  `to_nice_form` groups the spectrum of rho^{A'} once into (eigenvalue,
+basis) pairs; item 3 splits each encoder's marginal, a unitary conjugate of
+rho^{A'}, at those group sizes instead of grouping it again.  The positive
+eigenspaces and their support projector go to `block_diagonalize`, which
+hands the support on to `match_blocks`.
 
 All stage tolerances derive from a single knob (default 1e-8).  Every stage
 residual goes through one helper, `_check`, which raises `NiceFormError`
@@ -61,9 +64,9 @@ class NiceFormData:
     w: np.ndarray  # isometry B -> B' (x) B'', shape (2*dim_b_prime, dim_b)
     c: tuple[np.ndarray, ...]  # 4 unitaries on A'
     rho: np.ndarray  # density on A' (x) B'
-    # positive eigenspaces of rho^{A'}, eigenvalues descending: (lam, projector, basis)
-    eigenspaces: tuple[tuple[float, np.ndarray, np.ndarray], ...]
-    support: np.ndarray  # projector on supp(rho^{A'}), the sum of the eigenspaces
+    # positive eigenspaces of rho^{A'}, eigenvalues descending: (lam, orthonormal basis)
+    eigenspaces: tuple[tuple[float, np.ndarray], ...]
+    support: np.ndarray  # projector on supp(rho^{A'}), the span of the eigenspaces
 
 
 @dataclass(frozen=True)
@@ -126,26 +129,11 @@ def block_operator(dim_a_prime: int, blocks, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
-def _projector_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a projector."""
-    w, v = np.linalg.eigh((p + p.conj().T) / 2)
-    return v[:, w > 0.5]
-
-
 def _principal_unitary_sqrt(u: np.ndarray) -> np.ndarray:
     """Square root of a unitary with eigenphases halved within (-pi, pi]."""
     t, z = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diag(t))
     return (z * np.exp(0.5j * phases)) @ z.conj().T
-
-
-def _positive_eigenspaces(h: np.ndarray, tol: float):
-    """(eigenvalue, projector, basis) of the eigenspaces of h above the rank cut."""
-    groups = nk.spectral_decomposition(h, group_tol=math.sqrt(tol), tol=1e-6).groups
-    lam_max = max(lam for lam, _ in groups)
-    return [
-        (lam, p, _projector_basis(p)) for lam, p in groups if lam > tol * max(lam_max, 1.0)
-    ]
 
 
 def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
@@ -156,8 +144,9 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     state factors as rho^{RA'} (x) 1/2; read off orthonormal Bob-side
     vectors in an eigenbasis of rho^{RA'} and map them to a standard-form
     purification (the explicit Uhlmann step), which yields the isometry W;
-    finally align the per-encoder eigenspaces of the Alice marginal with
-    basis-matching unitaries C_i.
+    finally align each encoder's Alice marginal with the reference one by a
+    basis-matching unitary C_i, splitting its descending eigenvectors at the
+    reference group sizes.
     """
     if p.dim_a_dbl != 2:
         raise ValueError("nice form is implemented for qubit messages (d = 2)")
@@ -223,46 +212,42 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     tau_a = nk.partial_trace(tau_v, [dim_a, b], [0])
     zeta = nk.partial_trace(tau_a, [a1, 2], [0])
     group_tol = math.sqrt(tol)
-    positive = _positive_eigenspaces(zeta, tol)
-    support = np.zeros((a1, a1), dtype=complex)
-    for _, proj, _ in positive:
-        support += proj
-    comp = nk._complement_basis(_projector_basis(support), a1)
+    groups = nk.spectral_decomposition(zeta, group_tol=group_tol, tol=1e-6).groups
+    cut = tol * max(groups[0][0], 1.0)
+    positive = tuple(g for g in groups if g[0] > cut)
+    rank = sum(basis.shape[1] for _, basis in positive)
+    cols = np.hstack([basis for _, basis in groups])  # zeta's eigenvectors, descending
+    support = sum(basis @ basis.conj().T for _, basis in positive)
 
-    cs, enc_nice = [], []
-    for i, u in enumerate(enc_v):
-        if i == 0:
-            cs.append(np.eye(a1, dtype=complex))
-            enc_nice.append(u)
-            continue
+    cs, enc_nice = [np.eye(a1, dtype=complex)], [enc_v[0]]
+    for i, u in enumerate(enc_v[1:], start=1):
         m_i = u @ tau_a @ u.conj().T
         zeta_i = nk.partial_trace(m_i, [a1, 2], [0])
         half_resid = np.linalg.norm(m_i - np.kron(zeta_i, ID2 / 2))
         _check("item3", f"encoder {i}: marginal factorization residual", half_resid, tol * 10)
-        pos_i = _positive_eigenspaces(zeta_i, tol)
-        if len(pos_i) != len(positive):
-            raise NiceFormError("item3", f"encoder {i}: eigenspace count mismatch")
-        c_i = np.zeros((a1, a1), dtype=complex)
-        covered_i = np.zeros((a1, a1), dtype=complex)
-        for (lam, _, basis), (lam_i, proj_i, basis_i) in zip(positive, pos_i):
-            if basis.shape[1] != basis_i.shape[1]:
-                raise NiceFormError("item3", f"encoder {i}: eigenspace rank mismatch")
-            _check("item3", f"encoder {i}: eigenvalue shift", abs(lam - lam_i), group_tol * 10)
-            c_i += basis @ basis_i.conj().T
-            covered_i += proj_i
-        comp_i = nk._complement_basis(_projector_basis(covered_i), a1)
-        c_i += comp @ comp_i.conj().T
+        w_i, v_i = np.linalg.eigh((zeta_i + zeta_i.conj().T) / 2)
+        w_i, v_i = w_i[::-1], v_i[:, ::-1]
+        _check("item3", f"encoder {i}: eigenvalue past the rank", w_i[rank:].max(initial=0.0), cut)
+        c_i = cols[:, rank:] @ v_i[:, rank:].conj().T
+        start = 0
+        for lam, basis in positive:
+            stop = start + basis.shape[1]
+            shift = np.abs(w_i[start:stop] - lam).max()
+            _check("item3", f"encoder {i}: eigenvalue shift", shift, group_tol * 10)
+            c_i += basis @ v_i[:, start:stop].conj().T
+            start = stop
         cs.append(c_i)
         enc_nice.append(np.kron(c_i, ID2) @ u)
 
-    lifted = [(lam, np.kron(proj, ID2)) for lam, proj, _ in positive]
+    lifted = [(lam, np.kron(basis, ID2)) for lam, basis in positive]
     for i in range(4):
         for j in range(4):
             if i == j:
                 continue
             prod = enc_nice[i] @ enc_nice[j].conj().T
-            for lam, pk in lifted:
-                delta = nk.partial_trace(pk @ prod @ pk, [a1, 2], [0])
+            for lam, bk in lifted:
+                # Tr_{A''} of P_k prod P_k, read in the eigenspace's own basis
+                delta = nk.partial_trace(bk.conj().T @ prod @ bk, [bk.shape[1] // 2, 2], [0])
                 what = f"encoders ({i},{j}) eigenspace {lam:.4g}: residual"
                 _check("item4", what, np.linalg.norm(delta), tol * 10)
 
@@ -279,7 +264,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         w=w_iso,
         c=tuple(cs),
         rho=rho,
-        eigenspaces=tuple(positive),
+        eigenspaces=positive,
         support=support,
     )
 
@@ -317,7 +302,7 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
         encoder = n.protocol.encoders[i]
         blocks_i: list[tuple[np.ndarray, np.ndarray]] = []
         s_i = np.eye(a1, dtype=complex) - n.support
-        for _, _, basis in n.eigenspaces:
+        for _, basis in n.eigenspaces:
             mat, f, g, h = _restricted_block_split(encoder, basis, tol)
             d_f, t_f = nk.polar_decomposition(f)
             _, t_g = nk.polar_decomposition(g)
@@ -347,8 +332,7 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
 
             ew_g = e_op @ w_g
             k_dec = nk.spectral_decomposition(k_mat, group_tol=group_tol, tol=1e-6)
-            for _, p_r in k_dec.groups:
-                c_r = _projector_basis(p_r)
+            for _, c_r in k_dec.groups:
                 x_r = c_r.conj().T @ ew_g @ c_r
                 x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
                 _check("block-phases", "restricted rotation residual", x_resid, tol * 100)
@@ -398,7 +382,8 @@ def common_eigenvector(c, d, e, tol: float = DEFAULT_STAGE_TOL) -> np.ndarray:
 
 
 def _reproject(q: np.ndarray, expected_rank: int) -> np.ndarray:
-    basis = _projector_basis(q)
+    w, v = np.linalg.eigh((q + q.conj().T) / 2)
+    basis = v[:, w > 0.5]
     if basis.shape[1] != expected_rank:
         raise NiceFormError(
             "match", f"deflation changed rank to {basis.shape[1]}, expected {expected_rank}"

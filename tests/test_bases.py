@@ -234,8 +234,9 @@ class TestWerner3:
         assert overlap < 1 - 1e-3
 
     def test_rejects_nonunit_beta(self):
-        with pytest.raises(ValueError):
-            bases.werner3_basis(0.5)
+        for beta in (0.5, complex("nan+nanj"), complex(1.0, float("nan"))):
+            with pytest.raises(ValueError):
+                bases.werner3_basis(beta)
 
 
 class TestVerify:

@@ -274,6 +274,32 @@ class TestExitCodes:
         assert captured.err.startswith("error: canonicalization failed: ")
         assert "'verify'" in captured.err
 
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_werner3_non_finite_angle_is_usage_error(self, angle, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert main(["basis", "build", "--kind", "werner3", "--beta-angle", angle,
+                     "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", [["basis", "check"], ["basis", "certify"],
+                                         ["protocol", "verify"], ["protocol", "canonicalize"]],
+                             ids=" ".join)
+    def test_tol_must_be_finite_and_positive(self, command, tol, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        if command[0] == "basis":
+            serialize.save_basis(bases.clock_shift_basis(3), str(path))
+        else:
+            serialize.save_protocol(pr.random_scrambled_bw(np.random.default_rng(2), 2, 2, 1)[0],
+                                    str(path))
+        out = tmp_path / "out.json"
+        assert main([*command, str(path), "--tol", tol, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "error: argument --tol: tolerance must be finite and positive" in captured.err
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     def test_mp_nonpositive_ratio_is_usage_error(self, r, capsys):
         assert main(["random", "mp", "--r", r]) == 2

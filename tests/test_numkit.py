@@ -91,16 +91,17 @@ class TestSpectralDecomposition:
     def test_pauli_z(self):
         dec = nk.spectral_decomposition(PAULI_Z)
         assert len(dec.groups) == 2
-        (l1, p1), (l2, p2) = dec.groups
+        (l1, b1), (l2, b2) = dec.groups
         assert l1 == pytest.approx(1.0) and l2 == pytest.approx(-1.0)
-        assert np.allclose(p1, np.diag([1, 0])) and np.allclose(p2, np.diag([0, 1]))
+        assert np.allclose(b1 @ b1.conj().T, np.diag([1, 0]))
+        assert np.allclose(b2 @ b2.conj().T, np.diag([0, 1]))
 
     def test_degenerate_spectrum(self):
         dec = nk.spectral_decomposition(np.eye(2) / 2)
         assert len(dec.groups) == 1
-        lam, proj = dec.groups[0]
+        lam, basis = dec.groups[0]
         assert lam == pytest.approx(0.5)
-        assert np.allclose(proj, np.eye(2))
+        assert np.allclose(basis @ basis.conj().T, np.eye(2))
 
     def test_grouping_policy(self):
         h = np.diag([1.0, 1.0 + 1e-12])
@@ -109,7 +110,8 @@ class TestSpectralDecomposition:
         assert raw[1] - raw[0] > 0
         dec = nk.spectral_decomposition(h, group_tol=1e-9)
         assert len(dec.groups) == 1
-        assert np.allclose(dec.groups[0][1], np.eye(2))
+        basis = dec.groups[0][1]
+        assert np.allclose(basis @ basis.conj().T, np.eye(2))
 
     def test_reconstruction_and_structure(self):
         rng = np.random.default_rng(5)
@@ -117,11 +119,11 @@ class TestSpectralDecomposition:
             h = random_hermitian(rng, 8)
             dec = nk.spectral_decomposition(h)
             assert np.linalg.norm(h - dec.reconstruct()) <= 1e-10 * np.linalg.norm(h)
-            total = sum(p for _, p in dec.groups)
-            assert np.allclose(total, np.eye(8), atol=1e-10)
-            for i, (_, p) in enumerate(dec.groups):
+            projs = [b @ b.conj().T for _, b in dec.groups]
+            assert np.allclose(sum(projs), np.eye(8), atol=1e-10)
+            for i, p in enumerate(projs):
                 assert nk.is_projector(p, 1e-9)
-                for _, q in dec.groups[i + 1:]:
+                for q in projs[i + 1:]:
                     assert np.linalg.norm(p @ q) < 1e-9
 
     def test_rejects_non_hermitian(self):

@@ -59,6 +59,39 @@ def block_protocol(p_projs, rotations, rho, dim_b_prime, corrections=None, v=Non
     return pr.Protocol(a1, 2, 2 * dim_b_prime, tau, tuple(encoders))
 
 
+def one_block_protocol(a1, delta, seed, noise=0.0, b1=2):
+    """One-block canonical protocol under random S, C_i, V and W, not scrambled.
+
+    rho^{A'} has eigenvalues 1/a1 with the top two moved by +-delta/2; tau is
+    mixed with white noise of weight ``noise``.  At noise 0 it is errorless.
+    """
+    rng = np.random.default_rng([31, seed])
+    lam = np.full(a1, 1.0 / a1)
+    lam[:2] += np.array([delta, -delta]) / 2
+    rho = np.zeros((a1 * b1, a1 * b1), dtype=complex)
+    for k in range(a1):
+        g = rng.standard_normal((b1, b1)) + 1j * rng.standard_normal((b1, b1))
+        sigma = g @ g.conj().T
+        rho[k * b1:(k + 1) * b1, k * b1:(k + 1) * b1] = lam[k] * sigma / np.trace(sigma).real
+    blocks = ((np.eye(a1, dtype=complex), haar(2, rng), 1),)
+    v, w = haar(2 * a1, rng), haar(2 * b1, rng)
+    vw = np.kron(v, w)
+    tau = vw.conj().T @ rg.canonical_state(rho, a1, b1) @ vw
+    tau = (1 - noise) * tau + noise * np.eye(tau.shape[0]) / tau.shape[0]
+    encoders = tuple(
+        np.kron(haar(a1, rng), ID2) @ rg.block_operator(a1, blocks, sig) @ v
+        for sig in nk.PAULIS
+    )
+    return pr.Protocol(a1, 2, 2 * b1, tau, encoders)
+
+
+GAP_SWEEP = [
+    (tol, delta)
+    for tol in (1e-8, 1e-6)
+    for delta in (tol, 10 * tol, tol**0.5, 2 * tol**0.5, 5 * tol**0.5, 10 * tol**0.5)
+]
+
+
 class TestToNiceForm:
     def test_bennett_wiesner(self):
         nf = rg.to_nice_form(pr.bennett_wiesner())
@@ -91,8 +124,8 @@ class TestToNiceForm:
                 assert np.linalg.norm(u @ tau_a @ u.conj().T - tau_a) < 1e-8
             # item 4: per-eigenspace partial-trace orthogonality
             positive = [
-                (lam, proj)
-                for lam, proj, _ in nf.eigenspaces
+                (lam, basis @ basis.conj().T)
+                for lam, basis in nf.eigenspaces
                 if lam > 1e-8
             ]
             for i in range(4):
@@ -108,14 +141,33 @@ class TestToNiceForm:
     def test_eigenspaces_are_passed_on(self):
         p, _ = planted_protocol(4, 3, 3, seed=5)
         nf = rg.to_nice_form(p)
-        lams = [lam for lam, _, _ in nf.eigenspaces]
+        lams = [lam for lam, _ in nf.eigenspaces]
         assert lams == sorted(lams, reverse=True) and min(lams) > 1e-8
-        for _, proj, basis in nf.eigenspaces:
+        for _, basis in nf.eigenspaces:
             assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-            assert np.allclose(basis @ basis.conj().T, proj, atol=1e-12)
-        total = sum(proj for _, proj, _ in nf.eigenspaces)
+        # the bases are columns of one eigendecomposition: mutually orthogonal
+        cols = np.hstack([basis for _, basis in nf.eigenspaces])
+        assert np.allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-12)
+        total = sum(basis @ basis.conj().T for _, basis in nf.eigenspaces)
         assert np.array_equal(nf.support, total)
         assert rg.block_diagonalize(nf).support is nf.support
+
+    @pytest.mark.parametrize("a1,b1,blocks", [(1, 1, 1), (3, 3, 2), (4, 3, 3)])
+    def test_one_grouping_per_call(self, monkeypatch, a1, b1, blocks):
+        # only the reference marginal is grouped; each encoder's marginal is
+        # split at the reference group sizes
+        p, _ = planted_protocol(a1, b1, blocks, seed=3)
+        calls = []
+        spectral = nk.spectral_decomposition
+
+        def counting(h, *args, **kwargs):
+            calls.append(h.shape)
+            return spectral(h, *args, **kwargs)
+
+        monkeypatch.setattr(nk, "spectral_decomposition", counting)
+        rg.to_nice_form(p)
+        monkeypatch.undo()
+        assert calls == [(a1, a1)]
 
     def test_epr_fidelity(self):
         p, _ = planted_protocol(2, 2, 2, seed=9)
@@ -418,6 +470,41 @@ class TestCanonicalize:
             return
         assert rep.passed
         assert rg.verify_decomposition(q, dec, tol).passed
+
+
+class TestOneBlockProtocols:
+    """Near-degenerate marginals: gaps of rho^{A'} across [tol, 10 sqrt(tol)]."""
+
+    @pytest.mark.parametrize("tol,delta", GAP_SWEEP, ids=[f"{t:g}-{d:.1e}" for t, d in GAP_SWEEP])
+    def test_errorless_inputs_verify(self, tol, delta):
+        # a gap near sqrt(tol), the grouping threshold, must not be read
+        # differently for an encoder's marginal and the reference one
+        for a1 in (2, 3, 4):
+            for seed in range(8):
+                p = one_block_protocol(a1, delta, seed)
+                dec, rep = rg.canonicalize(p, tol)
+                assert rep.passed
+                assert rg.verify_decomposition(p, dec, tol).passed
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        a1=st.integers(2, 4),
+        gap=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+        noise=st.just(0.0) | st.floats(-12, -4).map(lambda x: 10.0**x),
+        tol=st.sampled_from([1e-8, 1e-6]),
+    )
+    def test_white_noise_verified_or_named_failure(self, a1, gap, seed, noise, tol):
+        delta = tol ** (1 - gap / 2) * 10.0**gap  # log-uniform over [tol, 10 sqrt(tol)]
+        p = one_block_protocol(a1, delta, seed, noise)
+        try:
+            dec, rep = rg.canonicalize(p, tol)
+        except rg.NiceFormError as exc:
+            assert noise > 0, exc
+            assert exc.item in NICE_FORM_ITEMS
+            return
+        assert rep.passed
+        assert rg.verify_decomposition(p, dec, tol).passed
 
 
 class TestVerifyDecomposition:
