@@ -31,6 +31,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def angle(text: str) -> float:
+    """argparse type of --beta-angle: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
+
+
 def _build_basis(args) -> bases.UnitaryBasis:
     if args.kind == "clock-shift":
         return bases.clock_shift_basis(args.d)
@@ -152,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--d", type=int, default=3, help="dimension (ignored for werner3)")
     build.add_argument(
         "--beta-angle",
-        type=float,
+        type=angle,
         default=math.pi / 3,
         help="werner3 phase angle in radians (default pi/3)",
     )

@@ -65,6 +65,27 @@ def certificate_list(certs):
     return [(c.kind, c.witness, repr(c.witness_value)) for c in certs]
 
 
+def random_equivalence(b, rng):
+    """b under Haar-random left and right unitaries and uniform element phases."""
+    v, w = haar(b.d, rng), haar(b.d, rng)
+    phases = np.exp(2j * np.pi * rng.random(len(b.elements)))
+    return bases.apply_basis_equivalence(b, phases, v, w)
+
+
+def twisted_clock_shift(d):
+    """Clock/shift with every X^1 Z^j right-multiplied by diag(e^{i pi/3}, 1, ..., 1).
+
+    Still an orthogonal unitary basis, and the pair (identity, Z) settles the
+    distinct-count test on row 0.  Pairs between the X^1 and X^3 classes have a
+    non-scalar d-th power, so the eigenvalue-ratio test first fires at (d, 3d).
+    """
+    twist = np.eye(d, dtype=complex)
+    twist[0, 0] = np.exp(1j * np.pi / 3)
+    cs = bases.clock_shift_basis(d)
+    elements = tuple(e @ twist if d <= k < 2 * d else e for k, e in enumerate(cs.elements))
+    return bases.UnitaryBasis(d=d, elements=elements)
+
+
 def criterion2_bases():
     """Criterion 2's battery at d <= 8."""
     out = [(f"clock-shift-{d}", bases.clock_shift_basis(d)) for d in range(2, 9)]
@@ -352,24 +373,49 @@ class TestCertifyMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_under_random_equivalence(self, seed):
         for k, (name, b) in enumerate(criterion2_bases()):
-            rng = np.random.default_rng([seed, k])
-            v, w = haar(b.d, rng), haar(b.d, rng)
-            phases = np.exp(2j * np.pi * rng.random(len(b.elements)))
-            moved = bases.apply_basis_equivalence(b, phases, v, w)
+            moved = random_equivalence(b, np.random.default_rng([seed, k]))
             got = certificate_list(bases.certify_not_clock_shift(moved))
             assert got == reference_certify(moved), name
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-14, 1e-15])
+    @pytest.mark.parametrize(
+        "k,b",
+        [pytest.param(k, b, id=name) for k, (name, b) in enumerate(criterion2_bases()) if b.d <= 6],
+    )
+    def test_tolerance_sweep(self, k, b, tol):
+        # near machine precision the d-th-power screen must clear no pair that T1
+        # flags; at 1e-15 a screen without its rounding allowance fails clock-shift-3
+        for basis in (b, random_equivalence(b, np.random.default_rng([11, k]))):
+            got = certificate_list(bases.certify_not_clock_shift(basis, tol))
+            assert got == reference_certify(basis, tol)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_screen_keeps_a_firing_pair(self, d):
+        b = twisted_clock_shift(d)
+        assert bases.verify_orthogonal_unitary_basis(b).passed
+        certs = bases.certify_not_clock_shift(b)
+        assert certs[0].kind == bases.KIND_EIGENVALUE_RATIO
+        assert certs[0].witness == (d, 3 * d)
+        assert certificate_list(certs) == reference_certify(b)
+        moved = random_equivalence(b, np.random.default_rng(d))
+        assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
 
     @pytest.mark.parametrize(
         "b,rows",
         [
             (bases.matching_basis(7), 1),
-            (bases.clock_shift_basis(4), 15),
+            (bases.clock_shift_basis(4), 1),
+            (bases.clock_shift_basis(8), 1),
+            (twisted_clock_shift(4), 2),
             (bases.pauli_tensor_basis(4), 15),
         ],
-        ids=["matching-7", "clock-shift-4", "pauli-tensor-4"],
+        ids=["matching-7", "clock-shift-4", "clock-shift-8", "twisted-4", "pauli-tensor-4"],
     )
     def test_eigenvalue_scan_stops_once_settled(self, monkeypatch, b, rows):
-        # matching bases settle T1 and T2 on row 0; the other two never fire T1
+        # matching bases settle T1 and T2 on row 0.  Clock/shift settles T2 on
+        # row 0, and the d-th-power screen clears every later pair; the twisted
+        # basis sends only row d's uncleared pairs, where T1 fires, to eigvals.
+        # Pauli tensors never reach d distinct eigenvalues, so every row is solved.
         calls = []
         eigvals = np.linalg.eigvals
 

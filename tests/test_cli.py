@@ -274,14 +274,14 @@ class TestExitCodes:
         assert captured.err.startswith("error: canonicalization failed: ")
         assert "'verify'" in captured.err
 
-    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_werner3_non_finite_angle_is_usage_error(self, angle, tmp_path, capsys):
         out = tmp_path / "b.json"
-        assert main(["basis", "build", "--kind", "werner3", "--beta-angle", angle,
+        assert main(["basis", "build", "--kind", "werner3", f"--beta-angle={angle}",
                      "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err.startswith("error:")
+        assert f"error: argument --beta-angle: angle must be finite, got '{angle}'" in captured.err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("command", [["basis", "check"], ["basis", "certify"],
