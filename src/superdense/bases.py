@@ -313,19 +313,36 @@ def certify_not_clock_shift(
     The T1/T2 scan stops once T1 has a witness and some pair reaches d
     distinct eigenvalues, since no later pair can change either result.
 
-    Once T2 has reached d distinct eigenvalues, only T1 is open, and each
-    later row is screened before any eigensolve.  For M = A* B let
-    N = M^d, c = Tr N / d and s = ||N - c I||_F.  Every eigenvalue of N is
-    within s of c (spectral radius <= norm), so for the eigenvalues
-    lambda_p, lambda_q of M and r = lambda_p / lambda_q,
-    |r^d - 1| = |lambda_p^d - lambda_q^d| / |lambda_q^d| <= 2s / (|c| - s),
-    which is 2s for unitary M.  A pair whose bound plus a rounding allowance
-    of 4 d^2 eps is at most tol*d/2 cannot fire T1 and is cleared; only the
-    uncleared pairs go to the eigensolver.  The eigenvalue test's own
-    rounding stays below 3 d^2 eps on unitary pairs (measured for
-    2 <= d <= 32), under the 8 d^2 eps that the allowance and the halved
-    threshold leave it, so the certificates (kind, witness and
-    repr(witness_value)) are the same as those of the full eigenvalue scan.
+    Every row after row 0 is screened before any eigensolve, with one matrix
+    power per pair.  Let k be the running maximum distinct count (k = d once
+    T2 is settled), M = A* B, P = M^k, c = Tr P / d and s = ||P - c I||_F.
+    Every eigenvalue of P is within s of c (spectral radius <= norm).  Both
+    bounds below add a rounding allowance of 4 d^2 eps and need |c| > s; no
+    unitarity of M is assumed.
+
+    T2 bound: by the binomial series of (1 + x)^(1/k), every eigenvalue of M
+    is within rho = s |c|^(1/k) / (k (|c| - s)) of one of the k k-th roots
+    of c, so the eigenvalues fall in at most k discs of diameter 2 rho.  If
+    2 rho plus the allowance is at most half the distinct-count threshold
+    max(10 tol, 1e-7), the greedy count is at most k and cannot beat the
+    running maximum, which must be beaten strictly.  Halving the threshold
+    leaves the eigensolver's own rounding at least 2.5e-8 per eigenvalue.
+
+    T1 bound: when k divides d, each eigenvalue ratio r of M has
+    |r^k - 1| <= beta = 2 s / (|c| - s), hence
+    |r^d - 1| <= (1 + beta)^(d/k) - 1, which is beta (2s for unitary M) at
+    k = d.  If that plus the allowance is at most tol*d/2, no ratio can
+    fire.  The ratio test's own rounding stays below 3 d^2 eps on unitary
+    pairs (measured for 2 <= d <= 32), under the 8 d^2 eps that the
+    allowance and the halved threshold leave it.
+
+    A pair is cleared when every test still open passes its bound, and only
+    the uncleared pairs go to the eigensolver.  While T1 is open and k does
+    not divide d a row is not screened; no basis that this package or its
+    tests build reaches that state.  A cleared pair can neither fire T1 nor
+    raise T2, so the first witness among the kept pairs of a row is the
+    row's first witness, and the certificates (kind, witness and
+    repr(witness_value)) are those of the full eigenvalue scan.
 
     An empty result is NOT a proof of equivalence.
     """
@@ -344,32 +361,41 @@ def certify_not_clock_shift(
     ratio_witness = None
     max_distinct = 0
     max_distinct_witness = (0, 0)
+    count_tol = max(tol * 10, 1e-7)
     allowance = 4 * d * d * np.finfo(float).eps
     for i in range(n - 1):
         if ratio_witness is not None and max_distinct == d:
             break
         m = e[i].conj().T @ e[i + 1 :]
         cols = np.arange(i + 1, n)
-        if max_distinct == d:
-            c, s = _scalar_defects(np.linalg.matrix_power(m, d))
+        k = max_distinct
+        if i > 0 and (ratio_witness is not None or d % k == 0):
+            c, s = _scalar_defects(np.linalg.matrix_power(m, k))
             with np.errstate(divide="ignore", invalid="ignore"):
-                bound = np.where(np.abs(c) > s, 2 * s / (np.abs(c) - s), np.inf)
-            keep = np.flatnonzero(bound + allowance > tol * d / 2)
+                gap = np.maximum(np.abs(c) - s, 0.0)
+                rho = s * np.abs(c) ** (1 / k) / (k * gap)
+                beta = 2 * s / gap
+            clear = np.ones(len(m), dtype=bool)
+            if k < d:  # T2 open
+                clear &= 2 * rho + allowance <= count_tol / 2
+            if ratio_witness is None:  # T1 open
+                clear &= np.expm1(d // k * np.log1p(beta)) + allowance <= tol * d / 2
+            keep = np.flatnonzero(~clear)
             if keep.size == 0:
                 continue
             m, cols = m[keep], cols[keep]
         w = np.linalg.eigvals(m)
         if max_distinct < d:
-            counts = _distinct_counts(w, max(tol * 10, 1e-7))
-            k = int(np.argmax(counts))
-            if counts[k] > max_distinct:
-                max_distinct, max_distinct_witness = int(counts[k]), (i, int(cols[k]))
+            counts = _distinct_counts(w, count_tol)
+            a = int(np.argmax(counts))
+            if counts[a] > max_distinct:
+                max_distinct, max_distinct_witness = int(counts[a]), (i, int(cols[a]))
         if ratio_witness is None:
             ratios = w[:, :, None] / w[:, None, :]
             bad = np.abs(ratios**d - 1.0) > tol * d
             if bad.any():
-                k, p, q = np.argwhere(bad)[0]
-                ratio_witness = ((i, int(cols[k])), complex(ratios[k, p, q]))
+                a, p, q = np.argwhere(bad)[0]
+                ratio_witness = ((i, int(cols[a])), complex(ratios[a, p, q]))
     if ratio_witness is not None:
         certificates.append(
             NonEquivalenceCertificate(

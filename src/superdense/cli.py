@@ -5,7 +5,8 @@ scramble|verify|canonicalize``, ``random run|mp``.  Data goes to files or
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
 failure, 2 usage or parse error, a file that cannot be read or written, or
 an array that cannot be allocated.
-A fixed seed makes outputs byte-identical across runs of the same build.
+A fixed seed makes outputs byte-identical across runs of the same build at
+the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def angle(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --points: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -217,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mp = random_sub.add_parser("mp", help="Marchenko-Pastur reference curve or KS distance")
     mp.add_argument("--r", type=float, default=1.0)
-    mp.add_argument("--points", type=int, default=201)
+    mp.add_argument("--points", type=positive_int, default=201)
     mp.add_argument("--esd-csv", default=None, help="compare stored eigenvalues instead")
     mp.add_argument("-o", "--output", default=None)
     mp.set_defaults(func=_cmd_random_mp)

@@ -86,6 +86,34 @@ def twisted_clock_shift(d):
     return bases.UnitaryBasis(d=d, elements=elements)
 
 
+def twisted_pauli_tensor(theta):
+    """Pauli-tensor-4 with every element whose permutation part is X (x) 1
+    right-multiplied by diag(e^{i theta}, 1, 1, e^{i theta}).
+
+    The twist is diagonal and covers one whole X-class, so the result is
+    still an orthogonal unitary basis.  Rows 0 and 1 reach at most 2 distinct
+    eigenvalues; the first pair with 4, and the first eigenvalue-ratio
+    witness, is (2, 8), after the screen has started with k = 2.
+    """
+    twist = np.diag(np.exp(1j * theta * np.array([1, 0, 0, 1])))
+    pt = bases.pauli_tensor_basis(4)
+    # element 4i + j is P_i (x) P_j; the Pauli elements 2 and 3 carry X, 0 and 1 do not
+    elements = tuple(e @ twist if k // 4 >= 2 and k % 4 < 2 else e for k, e in enumerate(pt.elements))
+    return bases.UnitaryBasis(d=4, elements=elements)
+
+
+def tensor_bases():
+    """Clock/shift tensor products, each with the distinct count k it certifies.
+
+    Every pair has a scalar k-th power and k divides d.
+    """
+    cs = bases.clock_shift_basis
+    return [
+        ("cs3xcs3", bases.tensor_product_basis(cs(3), cs(3)), 3),
+        ("cs2xcs4", bases.tensor_product_basis(cs(2), cs(4)), 4),
+    ]
+
+
 def criterion2_bases():
     """Criterion 2's battery at d <= 8."""
     out = [(f"clock-shift-{d}", bases.clock_shift_basis(d)) for d in range(2, 9)]
@@ -400,6 +428,28 @@ class TestCertifyMatchesReference:
         moved = random_equivalence(b, np.random.default_rng(d))
         assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
 
+    @pytest.mark.parametrize("theta", [np.pi / 3, 0.3, 1e-3])
+    def test_screen_keeps_a_raising_pair(self, theta):
+        b = twisted_pauli_tensor(theta)
+        assert bases.verify_orthogonal_unitary_basis(b).passed
+        certs = bases.certify_not_clock_shift(b)
+        assert certs[0].kind == bases.KIND_EIGENVALUE_RATIO
+        assert certs[0].witness == (2, 8)
+        assert bases.KIND_DISTINCT_COUNT not in kinds(certs)
+        assert certificate_list(certs) == reference_certify(b)
+        moved = random_equivalence(b, np.random.default_rng(13))
+        assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
+
+    @pytest.mark.parametrize(
+        "b,count", [pytest.param(b, count, id=name) for name, b, count in tensor_bases()]
+    )
+    def test_tensor_bases(self, b, count):
+        got = certificate_list(bases.certify_not_clock_shift(b))
+        assert got == [(bases.KIND_DISTINCT_COUNT, (0, 1), repr(count))]
+        assert got == reference_certify(b)
+        moved = random_equivalence(b, np.random.default_rng(b.d))
+        assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
+
     @pytest.mark.parametrize(
         "b,rows",
         [
@@ -407,15 +457,30 @@ class TestCertifyMatchesReference:
             (bases.clock_shift_basis(4), 1),
             (bases.clock_shift_basis(8), 1),
             (twisted_clock_shift(4), 2),
-            (bases.pauli_tensor_basis(4), 15),
+            (bases.pauli_tensor_basis(4), 1),
+            (bases.pauli_tensor_basis(8), 1),
+            (tensor_bases()[0][1], 1),
+            (twisted_pauli_tensor(np.pi / 3), 2),
         ],
-        ids=["matching-7", "clock-shift-4", "clock-shift-8", "twisted-4", "pauli-tensor-4"],
+        ids=[
+            "matching-7",
+            "clock-shift-4",
+            "clock-shift-8",
+            "twisted-4",
+            "pauli-tensor-4",
+            "pauli-tensor-8",
+            "cs3xcs3",
+            "twisted-pauli-tensor-4",
+        ],
     )
     def test_eigenvalue_scan_stops_once_settled(self, monkeypatch, b, rows):
         # matching bases settle T1 and T2 on row 0.  Clock/shift settles T2 on
         # row 0, and the d-th-power screen clears every later pair; the twisted
         # basis sends only row d's uncleared pairs, where T1 fires, to eigvals.
-        # Pauli tensors never reach d distinct eigenvalues, so every row is solved.
+        # Pauli tensors and cs3xcs3 stop at k = 2 and 3 distinct eigenvalues on
+        # row 0, and every later pair has a scalar k-th power, so the k-th-power
+        # screen clears it.  The twisted Pauli tensor sends row 2's uncleared
+        # pairs, where T1 fires and T2 settles, to eigvals.
         calls = []
         eigvals = np.linalg.eigvals
 

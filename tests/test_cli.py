@@ -306,6 +306,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite and positive" in err
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_mp_nonpositive_points_is_usage_error(self, points, tmp_path, capsys):
+        out = tmp_path / "mp.csv"
+        assert main(["random", "mp", f"--points={points}", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"error: argument --points: must be a positive integer, got '{points}'" in captured.err
+
     def test_random_run_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "stats.json"
         assert main(["random", "run", "--d", "2", "--trials", "1", "--seed", "-1",

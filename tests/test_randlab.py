@@ -310,3 +310,37 @@ class TestExperiment:
             st = rl.distinguishability_experiment(d, 6, seed=31)
             stds.append(st.hc_std)
         assert stds[2] < stds[0]
+
+
+class TestSpectralIdentities:
+    """Each spectrum against identities that do not depend on the eigensolver."""
+
+    TRIALS = 200
+
+    def check_identities(self, w, g):
+        # g holds the lower triangle of G only, so ||G||_F^2 = 2 sum |g|^2 - sum |g_ii|^2
+        n, eps = len(w), np.finfo(float).eps
+        diag = np.diag(g).real
+        trace, frobenius = diag.sum(), 2 * np.vdot(g, g).real - np.sum(diag**2)
+        top = np.abs(w).max()
+        assert abs(w.sum() - trace) <= 4 * n * eps * top
+        assert abs(np.sum(w**2) - frobenius) <= 8 * n * eps * top**2
+
+    def test_second_moment_and_identities_d8(self):
+        # E |<psi_i|psi_j>|^2 = E |Tr U_i^* U_j|^2 / d^2 = 1/d^2 for i != j, so
+        # E (1/n) sum lambda^2 = (1/n) E ||G||_F^2 = 2 - 1/n (Marchenko-Pastur: 2);
+        # the overlaps are pairwise independent, so one trial's sd is about sqrt(2)/n
+        d = 8
+        n = d * d
+        moments = []
+        for t in range(self.TRIALS):
+            kets = rl.random_protocol_ensemble(d, np.random.default_rng([2012, t])).kets()
+            w, _ = rl.spectrum_and_pgm(kets)
+            self.check_identities(w, nk.gram(kets))
+            moments.append(np.sum(w**2) / n)
+        assert abs(np.mean(moments) - (2 - 1 / n)) <= 5 * math.sqrt(2) / (n * math.sqrt(self.TRIALS))
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_identities_two_stage_d17(self, t):
+        ens = rl.random_protocol_ensemble(17, np.random.default_rng([2012, t]))
+        self.check_identities(rl.esd(ens), nk.gram(ens.kets()))
