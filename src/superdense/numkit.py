@@ -247,8 +247,8 @@ _LAPACK_COL_MAJOR = 102
 
 
 @functools.cache
-def _zheevd_2stage():
-    """LAPACKE zheevd_2stage from numpy's own OpenBLAS, or None.
+def _openblas_symbol(name: str):
+    """Function `name` of numpy's own OpenBLAS, or None.
 
     numpy's wheels vendor OpenBLAS with 64-bit integers and a `scipy_`
     symbol prefix in `numpy.libs/`, beside the package; the process has
@@ -258,15 +258,32 @@ def _zheevd_2stage():
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
         try:
-            fn = ctypes.CDLL(path).scipy_LAPACKE_zheevd_2stage64_
+            return getattr(ctypes.CDLL(path), name)
         except (OSError, AttributeError):
             continue
+    return None
+
+
+@functools.cache
+def _zheevd_2stage():
+    """LAPACKE zheevd_2stage from numpy's own OpenBLAS, or None."""
+    fn = _openblas_symbol("scipy_LAPACKE_zheevd_2stage64_")
+    if fn is not None:
         # (layout, jobz, uplo, n, a, lda, w) -> info, integers 64-bit
         fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
         fn.restype = ctypes.c_int64
-        return fn
-    return None
+    return fn
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's own OpenBLAS, or None without the library
+    or its `openblas_get_num_threads`."""
+    fn = _openblas_symbol("scipy_openblas_get_num_threads64_")
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return int(fn())
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:

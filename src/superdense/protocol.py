@@ -88,6 +88,8 @@ class StateEnsemble:
     @property
     def pure(self) -> bool:
         """Every member is a 1-D ket; a density matrix, even of rank 1, is not."""
+        if isinstance(self.states, np.ndarray):
+            return self.states.ndim == 2  # one row per ket
         return all(s.ndim == 1 for s in self.states)
 
     def kets(self) -> tuple[np.ndarray, ...] | np.ndarray:

@@ -13,12 +13,20 @@ Each trial forms their Gram matrix G = Psi^H Psi once (`numkit.gram`); G
 and Q = Psi Psi^H share their spectrum.  Where the PGM is computed, one
 Hermitian eigensolve of G feeds both the spectrum and the PGM
 (`spectrum_and_pgm`); elsewhere `esd` computes the eigenvalues alone,
-with LAPACK's two-stage solver (`numkit.hermitian_eigenvalues`).
+with LAPACK's two-stage solver (`numkit.hermitian_eigenvalues`).  Both
+check the spectrum against G's trace and Frobenius norm.  Trials are
+independent, so `distinguishability_experiment` runs them on the CPUs that
+BLAS leaves idle.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,12 @@ from .protocol import StateEnsemble, pgm_from_eigh
 from .protocol import pgm_success  # noqa: F401
 
 EIGHT_OVER_3PI = 8.0 / (3.0 * math.pi)
+
+# complex entries that concurrent trials may hold together; a running trial
+# holds about 3 n^2 (kets, Gram matrix, solver copy or eigenvectors).  2^24
+# (256 MiB) admits 85 trials at d = 16 and 5 at d = 32, but never two at
+# d = 64 (n = 4096, 805 MB a trial), criterion 6's dimension
+_POOL_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -100,9 +114,13 @@ def esd(e: StateEnsemble) -> np.ndarray:
 
     G shares its nonzero eigenvalues with the unnormalized ensemble average
     Q = sum |psi><psi|; for the d^2 kets of a random protocol both are
-    d^2 x d^2, so this is Q's spectrum.
+    d^2 x d^2, so this is Q's spectrum.  The spectrum is checked against G
+    by `check_spectrum`.
     """
-    return nk.hermitian_eigenvalues(nk.gram(e.kets()))[::-1].copy()
+    g = nk.gram(e.kets())
+    w = nk.hermitian_eigenvalues(g)
+    check_spectrum(w, g)
+    return w[::-1].copy()
 
 
 def spectrum_and_pgm(kets) -> tuple[np.ndarray, float]:
@@ -111,8 +129,39 @@ def spectrum_and_pgm(kets) -> tuple[np.ndarray, float]:
     `kets` holds one ket per row.  One `eigh` of their Gram matrix gives the
     descending spectrum and, through `pgm_from_eigh`, the PGM success.
     """
-    w, v = np.linalg.eigh(nk.gram(kets), UPLO="L")
+    g = nk.gram(kets)
+    w, v = np.linalg.eigh(g, UPLO="L")
+    check_spectrum(w, g)
     return w[::-1].copy(), pgm_from_eigh(w, v)
+
+
+def check_spectrum(w: np.ndarray, g: np.ndarray) -> None:
+    """Check eigenvalues `w` against two identities of the Gram matrix `g`,
+    which holds its lower triangle only (`numkit.gram`).
+
+    Sum lambda = Tr G within 4 n eps max|lambda|, and
+    sum lambda^2 = ||G||_F^2 = 2 sum |g|^2 - sum |g_ii|^2 within
+    8 n eps max lambda^2.  Neither side depends on the eigensolver, and both
+    cost O(n^2).  Raises `np.linalg.LinAlgError` naming the identity that
+    fails.  `g` is read without a copy through `g.T`, C-contiguous where
+    zherk's output is F-ordered.  sum |g|^2 is summed per row, then across
+    rows: one running sum over all n^2 entries (`np.vdot`) drifts by up to
+    9.5 n eps max lambda^2 at n = 4096, against 0.2 per row.
+    """
+    n, eps = w.size, np.finfo(float).eps
+    gt = g.T
+    diag = gt.diagonal().real
+    top = float(np.abs(w).max(initial=0.0))
+    trace_gap = abs(float(w.sum()) - float(diag.sum()))
+    if not trace_gap <= 4 * n * eps * top:
+        raise np.linalg.LinAlgError(
+            f"eigenvalue sum differs from the Gram trace by {trace_gap:.3e}")
+    parts = np.ascontiguousarray(gt).view(np.float64)  # re, im side by side
+    frobenius = 2 * float(np.einsum("ij,ij->i", parts, parts).sum()) - float(np.sum(diag**2))
+    square_gap = abs(float(np.sum(w**2)) - frobenius)
+    if not square_gap <= 8 * n * eps * top**2:
+        raise np.linalg.LinAlgError(
+            f"eigenvalue square sum differs from the Gram Frobenius norm by {square_gap:.3e}")
 
 
 def mp_density(p: MPParams, x: float) -> float:
@@ -246,24 +295,24 @@ def distinguishability_experiment(
     G = Psi^H Psi of its kets.  For d <= pgm_limit one eigendecomposition of
     G feeds both the spectrum and the PGM success probability
     (`spectrum_and_pgm`); above it `esd` computes the eigenvalues alone and
-    the PGM is None.  `first_spectrum` is trial 0's spectrum, kept so that
-    writing it costs no second draw.
+    the PGM is None.  Each spectrum passes `check_spectrum`.
+    `first_spectrum` is trial 0's spectrum, kept so that writing it costs no
+    second draw.  With more than one worker (`_trial_workers`) the trials run
+    on a thread pool; no trial's arithmetic changes, and the results are
+    gathered in trial order, so the statistics do not depend on the worker
+    count.
     """
     if d < 2 or trials < 1:
         raise ValueError("need d >= 2 and at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    hcs, pgms, maxes, spectra = [], [], [], []
-    for t in range(trials):
-        ens = random_protocol_ensemble(d, np.random.default_rng([seed, t]))
-        if d <= pgm_limit:
-            w, pgm = spectrum_and_pgm(ens.kets())
-        else:
-            w, pgm = esd(ens), None
-        hcs.append(mean_sqrt_esd(w))
-        maxes.append(float(w[0]))
-        pgms.append(pgm)
-        spectra.append(w)
+    trial = functools.partial(_trial, d, seed, pgm_limit)
+    workers = _trial_workers(d * d, trials)
+    if workers == 1:
+        results = [trial(t) for t in range(trials)]
+    else:
+        results = _run_trials(trial, trials, workers)
+    hcs, pgms, maxes, spectra = zip(*results)
     ks = kolmogorov_distance(np.concatenate(spectra), MPParams(r=1.0))
     return ExperimentStats(
         d=d,
@@ -278,3 +327,74 @@ def distinguishability_experiment(
         ks_distance=ks,
         first_spectrum=tuple(float(x) for x in spectra[0]),
     )
+
+
+def _trial(d: int, seed: int, pgm_limit: int, t: int):
+    """Trial t of `distinguishability_experiment`: (hc, pgm, max_eig, spectrum)."""
+    ens = random_protocol_ensemble(d, np.random.default_rng([seed, t]))
+    if d <= pgm_limit:
+        w, pgm = spectrum_and_pgm(ens.kets())
+    else:
+        w, pgm = esd(ens), None
+    return mean_sqrt_esd(w), pgm, float(w[0]), w
+
+
+def _run_trials(trial, trials: int, workers: int) -> list:
+    """[trial(t) for t in range(trials)] on `workers` threads.
+
+    Each thread takes the next trial index from one shared counter until
+    none is left, so the results need no reordering and a slow trial holds
+    up no other.  One task per thread, not one per trial: per-trial futures
+    cost every trial a hand-off through the executor's queue and a wake-up of
+    the caller.  Where the platform allows, each thread is pinned to its own
+    share of the CPUs this process may run on: threads that hand the
+    interpreter lock to each other are woken on each other's CPU, and left
+    free, two of them often shared one CPU while the other idled.  A failed
+    trial, or an interrupt in the calling thread, stops every thread before
+    its next trial; the exception then propagates.
+    """
+    results = [None] * trials
+    indices = itertools.count()  # next() is atomic under the interpreter lock
+    stop = threading.Event()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    share = len(cpus) // workers
+
+    def run(k: int):
+        if share:
+            os.sched_setaffinity(0, cpus[k * share:(k + 1) * share])  # this thread only
+        for t in indices:
+            if t >= trials or stop.is_set():
+                return
+            try:
+                results[t] = trial(t)
+            except BaseException:
+                stop.set()
+                raise
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for runner in [pool.submit(run, k) for k in range(workers)]:
+            runner.result()
+    finally:
+        stop.set()  # before the shutdown, which waits for the trials running
+        pool.shutdown()
+    return results
+
+
+def _trial_workers(n: int, trials: int) -> int:
+    """Threads for `distinguishability_experiment`'s trials of n kets each.
+
+    The smallest of the trial count, the CPUs this process may run on
+    divided by numpy's OpenBLAS thread count, and the trials whose 3 n^2
+    complex entries fit in `_POOL_ENTRIES`; at least 1, and 1 where the
+    OpenBLAS thread count cannot be read.  Trials share no state, and their
+    LAPACK calls release the interpreter lock.
+    """
+    threads = nk.blas_threads()
+    if threads is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(trials, cpus // threads, _POOL_ENTRIES // (3 * n * n)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +384,25 @@ class TestExitCodes:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: {message}") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("pgm_limit", ["16", "2"])  # eigh, then the two-stage solver
+    def test_wrong_spectrum_is_usage_error(self, pgm_limit, tmp_path, capsys, monkeypatch):
+        def perturbed(solver):
+            def solve(*args, **kwargs):
+                out = solver(*args, **kwargs)
+                w = out[0] if isinstance(out, tuple) else out
+                w[-1] += 1e-9
+                return out
+            return solve
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed(np.linalg.eigh))
+        monkeypatch.setattr(nk, "hermitian_eigenvalues", perturbed(nk.hermitian_eigenvalues))
+        out = tmp_path / "stats.json"
+        assert main(["random", "run", "--d", "3", "--trials", "2", "--pgm-limit", pgm_limit,
+                     "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: eigenvalue sum differs from the Gram trace")
+
 
 class TestReportKeys:
     def test_exact_key_lists(self, tmp_path, capsys):
@@ -431,6 +454,25 @@ class TestDeterminism:
                 == 0
             )
         assert read(p1) == read(p2)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_random_run_bytes_with_and_without_pool(self, tmp_path):
+        # one BLAS thread: trials run concurrently on every CPU this process may
+        # use, and serially when pinned to one
+        src = str(Path(randlab.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        one_cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for pin in (None, lambda: os.sched_setaffinity(0, {one_cpu})):
+            csv = tmp_path / f"esd-{len(outputs)}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "superdense.cli", "random", "run", "--d", "8",
+                 "--trials", "6", "--seed", "3", "--esd-csv", str(csv)],
+                env=env, preexec_fn=pin, capture_output=True, timeout=120, check=True,
+            )
+            outputs.append((proc.stdout, read(csv)))
+        assert outputs[0] == outputs[1]
 
     def test_canonicalize_bytes(self, tmp_path, capsys):
         proto = str(tmp_path / "p.json")

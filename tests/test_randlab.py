@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -344,3 +348,88 @@ class TestSpectralIdentities:
     def test_identities_two_stage_d17(self, t):
         ens = rl.random_protocol_ensemble(17, np.random.default_rng([2012, t]))
         self.check_identities(rl.esd(ens), nk.gram(ens.kets()))
+
+    @pytest.mark.parametrize("d", [8, 17])
+    def test_runtime_check_names_the_identity(self, d):
+        # d = 8 is the eigh path's size, d = 17 the two-stage solver's
+        ens = rl.random_protocol_ensemble(d, np.random.default_rng([2012, 0]))
+        g = nk.gram(ens.kets())
+        w = nk.hermitian_eigenvalues(g)
+        rl.check_spectrum(w, g)
+        shift = np.zeros_like(w)
+        shift[-1] = 1e-10
+        with pytest.raises(np.linalg.LinAlgError, match="Gram trace"):
+            rl.check_spectrum(w + shift, g)
+        # the same sum, another sum of squares
+        shift[0] = -1e-10
+        with pytest.raises(np.linalg.LinAlgError, match="Gram Frobenius norm"):
+            rl.check_spectrum(w + shift, g)
+
+
+class TestTrialPool:
+    """The trials of `distinguishability_experiment` on a thread pool."""
+
+    @pytest.mark.parametrize("d, trials", [(4, 7), (17, 3)])  # the PGM path, the esd path
+    def test_stats_do_not_depend_on_workers(self, d, trials, monkeypatch):
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(rl, "_trial_workers", lambda n, t, workers=workers: workers)
+            runs.append(rl.distinguishability_experiment(d, trials, seed=41))
+        for field in dataclasses.fields(rl.ExperimentStats):
+            # repr round-trips a float exactly, so equal reprs are equal bits
+            assert len({repr(getattr(run, field.name)) for run in runs}) == 1
+
+    @pytest.mark.parametrize("threads, cpus, n, trials, workers", [
+        (None, 8, 64, 40, 1),     # no OpenBLAS thread count
+        (2, 2, 64, 40, 1),        # BLAS threads take every CPU
+        (4, 2, 64, 40, 1),
+        (1, 8, 64, 1, 1),         # one trial
+        (1, 64, 4096, 3, 1),      # d = 64: the memory cap
+        (1, 8, 64, 40, 8),        # CPUs // BLAS threads
+        (2, 8, 64, 40, 4),
+        (1, 8, 64, 3, 3),         # the trial count
+        (1, 64, 1024, 40, 5),     # d = 32: _POOL_ENTRIES // (3 n^2)
+    ])
+    def test_worker_rule(self, threads, cpus, n, trials, workers, monkeypatch):
+        monkeypatch.setattr(nk, "blas_threads", lambda: threads)
+        monkeypatch.setattr(rl.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert rl._trial_workers(n, trials) == workers
+
+    def test_worker_rule_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(nk, "blas_threads", lambda: 1)
+        monkeypatch.delattr(rl.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(rl.os, "cpu_count", lambda: 6)
+        assert rl._trial_workers(64, 40) == 6
+
+    def test_blas_threads_reads_numpys_openblas(self):
+        if nk._zheevd_2stage() is None:
+            pytest.skip("numpy is not linked against its vendored OpenBLAS")
+        assert nk.blas_threads() >= 1
+
+    @pytest.mark.parametrize("ctrl_c", [False, True])
+    def test_failure_stops_trials_not_started(self, ctrl_c, monkeypatch):
+        # trial 2 raises, or the caller's thread gets SIGINT while trial 2 runs
+        if ctrl_c and not hasattr(signal, "pthread_kill"):
+            pytest.skip("needs signal.pthread_kill")
+        started, failed = [], threading.Event()
+        real = rl._trial
+
+        def trial(d, seed, pgm_limit, t):
+            started.append(t)
+            if t == 2:
+                if not ctrl_c:
+                    failed.set()
+                    raise np.linalg.LinAlgError("trial 2")
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.5)  # the caller handles the signal meanwhile
+                failed.set()
+            if t < 2:
+                assert failed.wait(timeout=10)  # trials 0-2 run at once
+            return real(d, seed, pgm_limit, t)
+
+        monkeypatch.setattr(rl, "_trial", trial)
+        monkeypatch.setattr(rl, "_trial_workers", lambda n, trials: 3)
+        with pytest.raises(KeyboardInterrupt if ctrl_c else np.linalg.LinAlgError):
+            rl.distinguishability_experiment(2, 40, seed=0)
+        # trials 0-2 finish, and no worker starts another
+        assert sorted(started) == [0, 1, 2]
