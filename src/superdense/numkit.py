@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 DEFAULT_TOL = 1e-9
 
@@ -229,61 +228,128 @@ def clip_psd_spectrum(w: np.ndarray, slack: float) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def gram(kets) -> np.ndarray:
-    """Gram matrix G = Psi^H Psi, G_ij = <psi_i|psi_j>, lower triangle only.
-
-    `kets` holds one ket per row: an (m, N) array, read in place, or a
-    sequence of kets, stacked once.  The strict upper triangle of the result
-    is zero; read it with UPLO="L".
-    """
-    rows = np.asarray(kets, dtype=complex)
-    # rows.T is an F-contiguous view of C-contiguous rows, which zherk reads
-    # without a copy; trans=2 forms (rows.T)^H rows.T = G
-    return blas.zherk(1.0, rows.T, trans=2, lower=1)
-
-
-# LAPACKE's matrix_layout code for column-major storage
+# CBLAS and LAPACKE codes for column-major storage, the lower triangle and
+# the conjugate transpose
 _LAPACK_COL_MAJOR = 102
+_CBLAS_LOWER = 122
+_CBLAS_CONJ_TRANS = 113
 
 
 @functools.cache
-def _openblas_symbol(name: str):
+def _openblas_symbol(name: str, loader=ctypes.CDLL):
     """Function `name` of numpy's own OpenBLAS, or None.
 
     numpy's wheels vendor OpenBLAS with 64-bit integers and a `scipy_`
     symbol prefix in `numpy.libs/`, beside the package; the process has
     already loaded it, so this opens the same copy.  No other library is
-    tried.
+    tried.  Through `ctypes.CDLL` a call releases the interpreter lock,
+    through `ctypes.PyDLL` it holds it.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
         try:
-            return getattr(ctypes.CDLL(path), name)
+            return getattr(loader(path), name)
         except (OSError, AttributeError):
             continue
     return None
 
 
+def _bind(name: str, argtypes: list, restype, loader=ctypes.CDLL):
+    """`_openblas_symbol(name, loader)` with its C signature set, or None."""
+    fn = _openblas_symbol(name, loader)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+@functools.cache
+def _zherk():
+    """CBLAS zherk from numpy's own OpenBLAS, or None.
+
+    The call holds the interpreter lock, as SciPy's f2py wrapper does: a
+    d = 8 trial's Gram takes about 40 us, too short to hand the lock to
+    another trial thread and then wait to take it back.
+    """
+    # (layout, uplo, trans, n, k, alpha, a, lda, beta, c, ldc), integers 64-bit
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    return _bind("scipy_cblas_zherk64_",
+                 [ctypes.c_int] * 3 + [i64, i64, dbl, ptr, i64, dbl, ptr, i64], None, ctypes.PyDLL)
+
+
+@functools.cache
+def _zgees():
+    """LAPACKE zgees from numpy's own OpenBLAS, or None."""
+    # (layout, jobvs, sort, select, n, a, lda, sdim, w, vs, ldvs) -> info, integers 64-bit
+    i64, ptr, ch = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+    return _bind("scipy_LAPACKE_zgees64_",
+                 [ctypes.c_int, ch, ch, ptr, i64, ptr, i64, ptr, ptr, ptr, i64], i64)
+
+
 @functools.cache
 def _zheevd_2stage():
     """LAPACKE zheevd_2stage from numpy's own OpenBLAS, or None."""
-    fn = _openblas_symbol("scipy_LAPACKE_zheevd_2stage64_")
-    if fn is not None:
-        # (layout, jobz, uplo, n, a, lda, w) -> info, integers 64-bit
-        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-        fn.restype = ctypes.c_int64
-    return fn
+    # (layout, jobz, uplo, n, a, lda, w) -> info, integers 64-bit
+    i64, ptr, ch = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+    return _bind("scipy_LAPACKE_zheevd_2stage64_", [ctypes.c_int, ch, ch, i64, ptr, i64, ptr], i64)
+
+
+def gram(kets) -> np.ndarray:
+    """Gram matrix G = Psi^H Psi, G_ij = <psi_i|psi_j>, lower triangle only.
+
+    `kets` holds one ket per row: an (m, N) array, read in place when it is
+    C-contiguous, or a sequence of kets, stacked once.  The strict upper
+    triangle of the result is zero; read it with UPLO="L".  The result is
+    Fortran-ordered, as BLAS writes it.
+    """
+    rows = np.ascontiguousarray(kets, dtype=complex)
+    m, n = rows.shape
+    zherk = _zherk()
+    if zherk is None:
+        from scipy.linalg import blas
+        return blas.zherk(1.0, rows.T, trans=2, lower=1)
+    # read column-major, C-contiguous rows are the N x m matrix A = rows.T
+    # with the kets as its columns, and the conjugate-transpose update A^H A is G
+    g = np.zeros((m, m), dtype=complex, order="F")
+    zherk(_LAPACK_COL_MAJOR, _CBLAS_LOWER, _CBLAS_CONJ_TRANS, m, n,
+          1.0, rows.ctypes.data, max(1, n), 0.0, g.ctypes.data, max(1, m))
+    return g
+
+
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form a = Z T Z^H: T upper triangular, Z unitary.
+
+    LAPACK's zgees with Schur vectors and no eigenvalue ordering, from
+    numpy's own OpenBLAS; without it, `scipy.linalg.schur(a, output="complex")`,
+    which gives the same bits.  T and Z are Fortran-ordered, as LAPACK
+    writes them.  Raises `np.linalg.LinAlgError` on a non-square matrix, on
+    non-finite entries or on a LAPACK error.
+    """
+    m = _as_matrix(a)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise np.linalg.LinAlgError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("the matrix has non-finite entries")
+    zgees = _zgees()
+    if zgees is None:
+        import scipy.linalg
+        return scipy.linalg.schur(m, output="complex")
+    t = np.array(m, order="F")
+    z = np.empty((n, n), dtype=complex, order="F")
+    w = np.empty(n, dtype=complex)
+    sdim = ctypes.c_int64()
+    info = zgees(_LAPACK_COL_MAJOR, b"V", b"N", None, n, t.ctypes.data, max(1, n),
+                 ctypes.byref(sdim), w.ctypes.data, z.ctypes.data, max(1, n))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACKE zgees failed with info = {info}")
+    return t, z
 
 
 def blas_threads() -> int | None:
     """The thread count of numpy's own OpenBLAS, or None without the library
     or its `openblas_get_num_threads`."""
-    fn = _openblas_symbol("scipy_openblas_get_num_threads64_")
-    if fn is None:
-        return None
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return int(fn())
+    fn = _bind("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    return None if fn is None else int(fn())
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:

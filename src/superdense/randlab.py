@@ -387,8 +387,10 @@ def _trial_workers(n: int, trials: int) -> int:
     The smallest of the trial count, the CPUs this process may run on
     divided by numpy's OpenBLAS thread count, and the trials whose 3 n^2
     complex entries fit in `_POOL_ENTRIES`; at least 1, and 1 where the
-    OpenBLAS thread count cannot be read.  Trials share no state, and their
-    LAPACK calls release the interpreter lock.
+    OpenBLAS thread count cannot be read.  That count governs every call in
+    a trial: the Gram's zherk and the eigensolves all run in numpy's OpenBLAS.
+    Trials share no state, and their LAPACK calls release the interpreter
+    lock.
     """
     threads = nk.blas_threads()
     if threads is None:

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numkit as nk
 from .numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
@@ -131,7 +130,7 @@ def block_operator(dim_a_prime: int, blocks, sigma: np.ndarray) -> np.ndarray:
 
 def _principal_unitary_sqrt(u: np.ndarray) -> np.ndarray:
     """Square root of a unitary with eigenphases halved within (-pi, pi]."""
-    t, z = scipy.linalg.schur(u, output="complex")
+    t, z = nk.schur(u)
     phases = np.angle(np.diag(t))
     return (z * np.exp(0.5j * phases)) @ z.conj().T
 
@@ -336,7 +335,7 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
                 x_r = c_r.conj().T @ ew_g @ c_r
                 x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
                 _check("block-phases", "restricted rotation residual", x_resid, tol * 100)
-                t_s, z_s = scipy.linalg.schur(x_r, output="complex")
+                t_s, z_s = nk.schur(x_r)
                 betas = np.diag(t_s)
                 used = np.zeros(len(betas), dtype=bool)
                 for s in range(len(betas)):

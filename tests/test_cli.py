@@ -488,6 +488,32 @@ class TestDeterminism:
         assert json.loads(outputs[0][0])["passed"]
 
 
+class TestImportPath:
+    def test_cli_flows_load_no_scipy(self, tmp_path):
+        # every BLAS and LAPACK routine comes from numpy's OpenBLAS, so the
+        # three CLI flows run without any scipy module in the process
+        if nk._zherk() is None or nk._zgees() is None:
+            pytest.skip("this numpy build vendors no scipy-openblas64")
+        script = """
+import sys
+from superdense.cli import main
+assert main(["basis", "build", "--kind", "matching", "--d", "5", "-o", "m5.json"]) == 0
+assert main(["basis", "certify", "m5.json"]) == 0
+assert main(["random", "run", "--d", "4", "--trials", "2"]) == 0
+assert main(["protocol", "scramble", "--seed", "7", "--dim-a-prime", "3", "--dim-b-prime", "2",
+             "--blocks", "2", "-o", "p.json", "--planted", "plant.json"]) == 0
+assert main(["protocol", "canonicalize", "p.json", "-o", "dec.json"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")), file=sys.stderr)
+"""
+        src = str(Path(randlab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
+
+
 class TestFlows:
     def test_basis_kinds(self, tmp_path, capsys):
         for kind, d in (("clock-shift", 4), ("pauli-tensor", 4), ("matching", 6), ("werner3", 3)):

@@ -209,17 +209,64 @@ class TestPsdSpectrumAndGram:
         with pytest.raises(ValueError, match="not PSD"):
             nk.clip_psd_spectrum(w, 1e-13)
 
-    @pytest.mark.parametrize("m, dim", [(3, 3), (5, 2), (2, 6)])
-    def test_gram_lower_triangle(self, m, dim):
+    @pytest.mark.parametrize("m, dim", [(3, 3), (5, 2), (2, 6), (1, 1)])
+    def test_gram_lower_triangle(self, m, dim, monkeypatch):
         rng = np.random.default_rng([43, m, dim])
         rows = random_matrix(rng, max(m, dim))[:m, :dim].copy()
+        strided = np.repeat(rows, 2, axis=0)[::2]  # the same kets, not C-contiguous
         ref = rows.conj() @ rows.T  # G_ij = <psi_i|psi_j>
-        for kets in (rows, tuple(rows)):
-            g = nk.gram(kets)
-            assert g.shape == (m, m)
-            assert np.abs(np.tril(g) - np.tril(ref)).max() <= 1e-13
-            assert not np.triu(g, 1).any()
-            assert np.allclose(np.linalg.eigvalsh(g, UPLO="L"), np.linalg.eigvalsh(ref))
+        # the path is a loop, not a parameter, so the test keeps one id per shape
+        for path in ("openblas", "fallback"):
+            with monkeypatch.context() as mp:
+                if path == "fallback":
+                    mp.setattr(nk, "_zherk", lambda: None)
+                g = nk.gram(rows)
+                assert g.shape == (m, m)
+                assert np.abs(np.tril(g) - np.tril(ref)).max() <= 1e-13
+                assert not np.triu(g, 1).any()
+                assert np.allclose(np.linalg.eigvalsh(g, UPLO="L"), np.linalg.eigvalsh(ref))
+                # a sequence of kets and a strided view give the contiguous array's bits
+                for kets in (tuple(rows), strided):
+                    assert same_bits(nk.gram(kets), g), path
+
+
+class TestSchur:
+    """`nk.schur` against `scipy.linalg.schur(a, output="complex")`, the reference."""
+
+    @pytest.mark.parametrize("path", ["openblas", "fallback"])
+    @pytest.mark.parametrize("kind", ["random", "unitary"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_schur_form_and_reference_bits(self, n, kind, path, monkeypatch):
+        if path == "fallback":
+            monkeypatch.setattr(nk, "_zgees", lambda: None)
+        a = random_matrix(np.random.default_rng([75, n]), n)
+        if kind == "unitary":
+            a = np.linalg.qr(a)[0]
+        before = a.copy()
+        t, z = nk.schur(a)
+        assert np.array_equal(a, before)
+        assert np.abs(z @ t @ z.conj().T - a).max() <= 1e-12 * max(1.0, np.abs(a).max())
+        assert nk.is_unitary(z, 1e-12)
+        assert not np.tril(t, -1).any()
+        t_ref, z_ref = scipy.linalg.schur(a, output="complex")
+        assert same_bits(t, t_ref) and same_bits(z, z_ref)
+        assert t.flags.f_contiguous and z.flags.f_contiguous
+
+    @pytest.mark.parametrize("path", ["openblas", "fallback"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_input_raises(self, bad, path, monkeypatch):
+        # checked before LAPACK on both paths: LAPACKE's NaN check misses
+        # infinities, and scipy.linalg.schur raises a plain ValueError
+        if path == "fallback":
+            monkeypatch.setattr(nk, "_zgees", lambda: None)
+        a = np.eye(3, dtype=complex)
+        a[0, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            nk.schur(a)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(np.linalg.LinAlgError, match="square"):
+            nk.schur(np.zeros((2, 3)))
 
 
 class TestHermitianEigenvalues:
@@ -273,6 +320,7 @@ class TestHermitianEigenvalues:
         if not glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
             pytest.skip("this numpy build vendors no scipy-openblas64")
         assert nk._zheevd_2stage() is not None
+        assert nk._zherk() is not None and nk._zgees() is not None
 
 
 def haar_reference(d, rng):
