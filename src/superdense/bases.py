@@ -41,24 +41,6 @@ class UnitaryBasis:
 
 
 @dataclass(frozen=True)
-class PermutationMatching:
-    """Perfect matching in K_{d,d}: left vertex a is matched to image[a]."""
-
-    d: int
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(self.d)):
-            raise ValueError(f"image {self.image} is not a bijection on 0..{self.d - 1}")
-
-    def matrix(self) -> np.ndarray:
-        p = np.zeros((self.d, self.d), dtype=complex)
-        for a, b in enumerate(self.image):
-            p[b, a] = 1.0
-        return p
-
-
-@dataclass(frozen=True)
 class NonEquivalenceCertificate:
     kind: str
     witness: tuple[int, ...]
@@ -166,11 +148,12 @@ def _perfect_matching(adjacency: np.ndarray) -> list[int]:
 
 def regular_bipartite_edge_coloring(
     d: int, adjacency: np.ndarray, k: int
-) -> list[PermutationMatching]:
+) -> list[tuple[int, ...]]:
     """Split a k-regular bipartite graph into k disjoint perfect matchings.
 
     Repeatedly extracts a maximum matching (Hall's theorem guarantees each
-    residual stays regular enough to contain one).
+    residual stays regular enough to contain one).  Each matching is its
+    image tuple: left vertex a is matched to right vertex image[a].
     """
     adj = np.asarray(adjacency, dtype=bool).copy()
     if adj.shape != (d, d):
@@ -180,7 +163,7 @@ def regular_bipartite_edge_coloring(
     matchings = []
     for _ in range(k):
         image = _perfect_matching(adj)
-        matchings.append(PermutationMatching(d=d, image=tuple(image)))
+        matchings.append(tuple(image))
         for a, b in enumerate(image):
             adj[a, b] = False
     if adj.any():
@@ -206,11 +189,11 @@ def matching_basis(d: int) -> UnitaryBasis:
         adj[a, p0[a]] = False
         adj[a, p1[a]] = False
     rest = regular_bipartite_edge_coloring(d, adj, d - 2)
-    perms = [PermutationMatching(d, p0), PermutationMatching(d, p1)] + rest
     z = clock_matrix(d)
     elements, labels = [], []
-    for i, perm in enumerate(perms):
-        pm = perm.matrix()
+    for i, image in enumerate([p0, p1] + rest):
+        pm = np.zeros((d, d), dtype=complex)
+        pm[image, np.arange(d)] = 1.0
         zj = np.eye(d, dtype=complex)
         for j in range(d):
             elements.append(pm @ zj)

@@ -11,7 +11,6 @@ import ctypes
 import functools
 import glob
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +49,6 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     return bool(w.min(initial=0.0) >= -tol * _scale(m))
 
 
-def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_matrix(a)
-    return is_hermitian(m, tol) and np.linalg.norm(m @ m - m) <= tol * _scale(m)
-
-
 def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     m = _as_matrix(a)
     return is_psd(m, tol) and abs(np.trace(m).real - 1.0) <= tol * _scale(m)
@@ -63,13 +57,6 @@ def is_density(a, tol: float = DEFAULT_TOL) -> bool:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; the left factor is the slow index."""
     return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def tensor_all(*factors) -> np.ndarray:
-    out = _as_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, _as_matrix(f))
-    return out
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -117,29 +104,16 @@ def permute_factors(m, dims, perm) -> np.ndarray:
     return t.reshape(n, n)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalue groups of a Hermitian matrix.
-
-    ``groups`` is a tuple of (eigenvalue, basis) pairs, eigenvalues sorted
-    descending; eigenvalues closer than the grouping tolerance are merged
-    into one group.  ``basis`` holds the group's orthonormal eigenvector
-    columns, a column slice of one eigendecomposition, so the bases side by
-    side form a unitary and the projectors B B^H sum to the identity.
-    """
-
-    groups: tuple[tuple[float, np.ndarray], ...]
-
-    def reconstruct(self) -> np.ndarray:
-        return sum(lam * (basis @ basis.conj().T) for lam, basis in self.groups)
-
-
 def spectral_decomposition(h, group_tol: float = DEFAULT_TOL,
-                           tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+                           tol: float = DEFAULT_TOL) -> tuple[tuple[float, np.ndarray], ...]:
     """Group the spectrum of a Hermitian matrix into eigenspaces.
 
-    Consecutive eigenvalues (in descending order) within ``group_tol`` of
-    each other land in one group; the group eigenvalue is their mean.
+    Returns a tuple of (eigenvalue, basis) pairs, eigenvalues sorted
+    descending.  Consecutive eigenvalues within ``group_tol`` of each other
+    land in one group; the group eigenvalue is their mean.  ``basis`` holds
+    the group's orthonormal eigenvector columns, a column slice of one
+    eigendecomposition, so the bases side by side form a unitary and the
+    projectors B B^H sum to the identity.
     """
     h = _as_matrix(h)
     if not is_hermitian(h, tol):
@@ -153,7 +127,7 @@ def spectral_decomposition(h, group_tol: float = DEFAULT_TOL,
         if i == len(w) or (w[i - 1] - w[i]) > group_tol:
             groups.append((float(np.mean(w[start:i])), v[:, start:i]))
             start = i
-    return SpectralDecomposition(groups=tuple(groups))
+    return tuple(groups)
 
 
 def _complement_basis(vectors: np.ndarray, n: int) -> np.ndarray:

@@ -30,6 +30,7 @@ result at ``tol``, so it returns a decomposition that verifies or raises.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,7 +90,6 @@ class MatchedBlocks:
 
     k_projectors: tuple[np.ndarray, ...]
     triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    residual: np.ndarray  # projector on the complement of supp(rho^{A'})
     sign_corrections: tuple[np.ndarray, ...]
 
 
@@ -211,7 +211,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     tau_a = nk.partial_trace(tau_v, [dim_a, b], [0])
     zeta = nk.partial_trace(tau_a, [a1, 2], [0])
     group_tol = math.sqrt(tol)
-    groups = nk.spectral_decomposition(zeta, group_tol=group_tol, tol=1e-6).groups
+    groups = nk.spectral_decomposition(zeta, group_tol=group_tol, tol=1e-6)
     cut = tol * max(groups[0][0], 1.0)
     positive = tuple(g for g in groups if g[0] > cut)
     rank = sum(basis.shape[1] for _, basis in positive)
@@ -239,16 +239,14 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         enc_nice.append(np.kron(c_i, ID2) @ u)
 
     lifted = [(lam, np.kron(basis, ID2)) for lam, basis in positive]
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            prod = enc_nice[i] @ enc_nice[j].conj().T
-            for lam, bk in lifted:
-                # Tr_{A''} of P_k prod P_k, read in the eigenspace's own basis
-                delta = nk.partial_trace(bk.conj().T @ prod @ bk, [bk.shape[1] // 2, 2], [0])
-                what = f"encoders ({i},{j}) eigenspace {lam:.4g}: residual"
-                _check("item4", what, np.linalg.norm(delta), tol * 10)
+    # pair (j, i)'s residual is the adjoint of pair (i, j)'s, with the same norm
+    for i, j in itertools.combinations(range(4), 2):
+        prod = enc_nice[i] @ enc_nice[j].conj().T
+        for lam, bk in lifted:
+            # Tr_{A''} of P_k prod P_k, read in the eigenspace's own basis
+            delta = nk.partial_trace(bk.conj().T @ prod @ bk, [bk.shape[1] // 2, 2], [0])
+            what = f"encoders ({i},{j}) eigenspace {lam:.4g}: residual"
+            _check("item4", what, np.linalg.norm(delta), tol * 10)
 
     nice_protocol = Protocol(
         dim_a_prime=a1,
@@ -330,8 +328,8 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
             l_mat = herm[0::2, 1::2]
 
             ew_g = e_op @ w_g
-            k_dec = nk.spectral_decomposition(k_mat, group_tol=group_tol, tol=1e-6)
-            for _, c_r in k_dec.groups:
+            k_groups = nk.spectral_decomposition(k_mat, group_tol=group_tol, tol=1e-6)
+            for _, c_r in k_groups:
                 x_r = c_r.conj().T @ ew_g @ c_r
                 x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
                 _check("block-phases", "restricted rotation residual", x_resid, tol * 100)
@@ -468,11 +466,9 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
     if lists[1] or lists[2]:
         raise NiceFormError("match", "encoders exhausted unevenly; input invalid")
 
-    residual = np.eye(a1, dtype=complex) - bf.support
     return MatchedBlocks(
         k_projectors=tuple(k_projectors),
         triples=tuple(triples),
-        residual=residual,
         sign_corrections=tuple(sign_ops),
     )
 
@@ -537,7 +533,8 @@ def canonicalize(
     mb = match_blocks(bf, tol)
     frames = [pauli_frame(*triple, tol) for triple in mb.triples]
 
-    orient = mb.residual.astype(complex).copy()
+    residual = np.eye(p.dim_a_prime, dtype=complex) - nf.support  # projector on ker(rho^{A'})
+    orient = residual.copy()
     for peel, (_, sign) in zip(mb.k_projectors, frames):
         orient += sign * peel
 
@@ -554,8 +551,8 @@ def canonicalize(
     blocks = [
         (peel, frame[0], frame[1]) for peel, frame in zip(mb.k_projectors, frames)
     ]
-    if np.trace(mb.residual).real > 0.5:
-        blocks.append((mb.residual, np.eye(2, dtype=complex), 1))
+    if np.trace(residual).real > 0.5:
+        blocks.append((residual, np.eye(2, dtype=complex), 1))
     dec = CanonicalDecomposition(v=nf.v, w=nf.w, c=tuple(cs), rho=nf.rho, blocks=tuple(blocks))
     report = verify_decomposition(p, dec, tol)
     _check("verify", "state residual", report.state_residual, tol)

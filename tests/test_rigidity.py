@@ -10,6 +10,10 @@ from superdense.numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from superdense.numkit import haar_unitary as haar
 
 
+def is_projector(m, tol):
+    return nk.is_hermitian(m, tol) and np.linalg.norm(m @ m - m) <= tol * max(1.0, np.linalg.norm(m))
+
+
 def epr_density():
     epr = nk.max_entangled(2)
     return np.outer(epr, epr.conj())
@@ -169,6 +173,23 @@ class TestToNiceForm:
         monkeypatch.undo()
         assert calls == [(a1, a1)]
 
+    @pytest.mark.parametrize("a1,b1,blocks", [(1, 1, 1), (3, 3, 2), (4, 3, 3)])
+    def test_item4_checks_each_unordered_pair_once(self, monkeypatch, a1, b1, blocks):
+        # 7 partial traces outside item 4, then one per unordered encoder pair
+        # (6 of them) and positive eigenspace: pair (j, i) repeats pair (i, j)
+        p, _ = planted_protocol(a1, b1, blocks, seed=3)
+        calls = []
+        partial_trace = nk.partial_trace
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return partial_trace(*args, **kwargs)
+
+        monkeypatch.setattr(nk, "partial_trace", counting)
+        nf = rg.to_nice_form(p)
+        monkeypatch.undo()
+        assert len(calls) == 7 + 6 * len(nf.eigenspaces)
+
     def test_epr_fidelity(self):
         p, _ = planted_protocol(2, 2, 2, seed=9)
         nf = rg.to_nice_form(p)
@@ -231,7 +252,7 @@ class TestBlockDiagonalize:
                 assert np.allclose(np.linalg.eigvalsh(r), [-1.0, 1.0], atol=1e-9)
                 assert abs(np.trace(r)) < 1e-9
                 assert nk.is_hermitian(r, 1e-9) and nk.is_unitary(r, 1e-9)
-                assert nk.is_projector(q, 1e-8)
+                assert is_projector(q, 1e-8)
                 total = total + q
             assert np.allclose(total, bf.support, atol=1e-8)
 
@@ -302,7 +323,7 @@ class TestMatchBlocks:
         p, planted = planted_protocol(4, 3, 3, seed=5)
         nf = rg.to_nice_form(p)
         mb = rg.match_blocks(rg.block_diagonalize(nf))
-        total = sum(mb.k_projectors) + mb.residual
+        total = sum(mb.k_projectors) + np.eye(4) - nf.support
         assert np.allclose(total, np.eye(4), atol=1e-8)
         for k in mb.k_projectors:
             assert abs(np.trace(k).real - 1) < 1e-8  # rank-one refinement
@@ -328,7 +349,7 @@ class TestMatchBlocks:
         mb = rg.match_blocks(rg.block_diagonalize(rg.to_nice_form(p)))
         assert len(mb.k_projectors) == 3
         for k in mb.k_projectors:
-            assert nk.is_projector(k, 1e-8)
+            assert is_projector(k, 1e-8)
 
 
 class TestPauliFrame:
