@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import math
 import os
 import sys
@@ -61,7 +62,7 @@ def _build_basis(args) -> bases.UnitaryBasis:
 
 
 def _cmd_basis_build(args) -> int:
-    serialize.emit(serialize.basis_to_json(_build_basis(args)), args.output)
+    serialize.save_basis(_build_basis(args), args.output)
     return 0
 
 
@@ -151,6 +152,7 @@ def _cmd_random_mp(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the whole command tree; `main` keeps one of its own."""
     parser = argparse.ArgumentParser(
         prog="superdense",
         description="Workbench for superdense coding protocols and random-encoder experiments.",
@@ -234,10 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so main builds one per process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -31,11 +31,6 @@ class SerializationError(ValueError):
         self.field = field
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def matrix_from_json(data: Any, path: str, field: str) -> np.ndarray:
     try:
         if not isinstance(data, list):
@@ -61,14 +56,23 @@ def matrix_from_json(data: Any, path: str, field: str) -> np.ndarray:
         raise SerializationError(path, field, f"not a valid complex matrix: {exc}") from exc
 
 
-def _load_json(path: str) -> Any:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except FileNotFoundError:
         raise SerializationError(path, "<file>", "file not found") from None
+    except UnicodeDecodeError as exc:
+        raise SerializationError(path, "<document>", f"not UTF-8 text: {exc}") from None
+
+
+def _load_json(path: str) -> Any:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SerializationError(path, "<document>", f"invalid JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise SerializationError(path, "<document>", "JSON nested too deeply to read") from None
 
 
 def write_text(text: str, path: str | None) -> None:
@@ -80,18 +84,54 @@ def write_text(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(obj):
+def _matrix(m: np.ndarray, level: int) -> str:
+    """A complex matrix as JSON rows of [re, im] pairs, `level` containers deep."""
+    a = np.ascontiguousarray(np.atleast_2d(m), dtype=complex)
+    if a.size == 0:
+        return _encode(a.tolist(), level)
+    parts = a.view(float).ravel().tolist()
+    if not np.isfinite(a).all():
+        parts = [x if math.isfinite(x) else json.dumps(x) for x in parts]
+    s0, s1, s2, s3 = (" " * (level + k) for k in range(4))
+    # "%s" of a float is float.__repr__, the text json writes
+    pair = f"[\n{s3}%s,\n{s3}%s\n{s2}]"
+    row = f"[\n{s2}" + f",\n{s2}".join([pair] * a.shape[1]) + f"\n{s1}]"
+    return (f"[\n{s1}" + f",\n{s1}".join([row] * a.shape[0]) + f"\n{s0}]") % tuple(parts)
+
+
+def _encode(obj: Any, level: int) -> str:
+    """`obj` as json.dumps(obj, indent=1) writes it `level` containers deep,
+    with an ndarray written as a complex matrix and a complex number as a
+    [re, im] pair."""
+    if isinstance(obj, np.ndarray):
+        return _matrix(obj, level)
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be strings")
+        items = [f"{json.dumps(key)}: {_encode(val, level + 1)}" for key, val in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_encode(val, level + 1) for val in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    pad = "\n" + " " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
 
 
 def emit(doc: Any, path: str | None = None) -> None:
-    """Write JSON (indent 1) to a file or stdout; a dataclass becomes its
-    field dict and a complex number a [re, im] pair."""
+    """Write `doc` as JSON to a file or stdout, byte for byte as
+    json.dumps(doc, indent=1) writes its list form: a dataclass becomes its
+    field dict, an ndarray a matrix of [re, im] pairs and a complex number
+    a [re, im] pair.  Floats are written by repr, NaN and infinities as
+    json's NaN and Infinity tokens."""
     if dataclasses.is_dataclass(doc):
         doc = dataclasses.asdict(doc)
-    write_text(json.dumps(doc, indent=1, default=_json_default) + "\n", path)
+    write_text(_encode(doc, 0) + "\n", path)
 
 
 def _require(doc: dict, key: str, path: str) -> Any:
@@ -112,15 +152,11 @@ def _require_list(doc: dict, key: str, path: str) -> list:
     return val
 
 
-def basis_to_json(b: UnitaryBasis) -> dict:
-    doc = {"d": b.d, "elements": [matrix_to_json(e) for e in b.elements]}
+def save_basis(b: UnitaryBasis, path: str | None) -> None:
+    doc = {"d": b.d, "elements": b.elements}
     if b.labels is not None:
-        doc["labels"] = list(b.labels)
-    return doc
-
-
-def save_basis(b: UnitaryBasis, path: str) -> None:
-    emit(basis_to_json(b), path)
+        doc["labels"] = b.labels
+    emit(doc, path)
 
 
 def load_basis(path: str) -> UnitaryBasis:
@@ -157,8 +193,8 @@ def save_protocol(p: Protocol, path: str) -> None:
         "dim_a_prime": p.dim_a_prime,
         "dim_a_dbl": p.dim_a_dbl,
         "dim_b": p.dim_b,
-        "tau": matrix_to_json(p.tau),
-        "encoders": [matrix_to_json(u) for u in p.encoders],
+        "tau": p.tau,
+        "encoders": p.encoders,
     }
     emit(doc, path)
 
@@ -186,12 +222,12 @@ def load_protocol(path: str) -> Protocol:
 
 def save_decomposition(dec: CanonicalDecomposition, path: str) -> None:
     doc = {
-        "v": matrix_to_json(dec.v),
-        "w": matrix_to_json(dec.w),
-        "c": [matrix_to_json(c) for c in dec.c],
-        "rho": matrix_to_json(dec.rho),
+        "v": dec.v,
+        "w": dec.w,
+        "c": dec.c,
+        "rho": dec.rho,
         "blocks": [
-            {"p": matrix_to_json(p), "s": matrix_to_json(s), "sign": int(sign)}
+            {"p": p, "s": s, "sign": int(sign)}
             for p, s, sign in dec.blocks
         ],
     }
@@ -226,11 +262,7 @@ def save_eigenvalues_csv(eigenvalues, path: str) -> None:
 
 
 def load_eigenvalues_csv(path: str) -> list[float]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except FileNotFoundError:
-        raise SerializationError(path, "<file>", "file not found") from None
+    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0] != "eigenvalue":
         raise SerializationError(path, "header", "expected header line 'eigenvalue'")
     try:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superdense import bases, randlab, serialize
+from superdense import bases, cli, randlab, serialize
 from superdense import numkit as nk
 from superdense import protocol as pr
 from superdense import rigidity as rg
@@ -17,6 +17,11 @@ from superdense.cli import main
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def matrix_json(m):
+    """A matrix in the file format's list form: rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 class TestRoundTrip:
@@ -209,7 +214,7 @@ class TestExitCodes:
         path = tmp_path / "p.json"
         serialize.save_protocol(pr.bennett_wiesner(), str(path))
         doc = json.loads(path.read_text())
-        doc["encoders"][2] = serialize.matrix_to_json(np.eye(3))
+        doc["encoders"][2] = matrix_json(np.eye(3))
         path.write_text(json.dumps(doc))
         assert main(["protocol", command, str(path)]) == 2
         err = capsys.readouterr().err
@@ -244,7 +249,7 @@ class TestExitCodes:
         path = tmp_path / "p.json"
         serialize.save_protocol(pr.bennett_wiesner(), str(path))
         doc = json.loads(path.read_text())
-        doc["tau"] = serialize.matrix_to_json(np.zeros((4, 4)))
+        doc["tau"] = matrix_json(np.zeros((4, 4)))
         path.write_text(json.dumps(doc))
         out = tmp_path / "dec.json"
         assert main(["protocol", command, str(path), "-o", str(out)]) == 2
@@ -326,6 +331,25 @@ class TestExitCodes:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error:") and "seed" in captured.err
 
+    @pytest.mark.parametrize("command", [["basis", "certify"], ["protocol", "verify"]])
+    def test_deeply_nested_json_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: field '<document>': JSON nested too deeply to read\n"
+
+    @pytest.mark.parametrize("command", [["basis", "check"], ["protocol", "canonicalize"],
+                                         ["random", "mp", "--esd-csv"]])
+    def test_non_utf8_input_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("eigenvalue\n0.5\n# \u00e9\n".encode("latin-1"))
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: field '<document>': not UTF-8 text: ")
+
     @pytest.mark.parametrize("row", ["nan", "inf", "-inf"])
     def test_non_finite_esd_csv_is_usage_error(self, row, tmp_path, capsys):
         csv = tmp_path / "esd.csv"
@@ -402,6 +426,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: eigenvalue sum differs from the Gram trace")
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        proto, out = str(tmp_path / "p.json"), tmp_path / "dec.json"
+        serialize.save_protocol(pr.random_scrambled_bw(np.random.default_rng(4), 2, 2, 1)[0], proto)
+        assert cli._parser() is cli._parser() is not cli.build_parser()
+        assert main(["protocol", "canonicalize"]) == 2
+        assert main(["--help"]) == 0
+        assert main(["protocol", "canonicalize", proto, "-o", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert main(["protocol", "canonicalize", proto]) == 0
+        assert not out.exists()
+        src = str(Path(randlab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = subprocess.run([sys.executable, "-m", "superdense.cli", "protocol", "canonicalize",
+                                proto], env=env, capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
 
 
 class TestReportKeys:
