@@ -20,6 +20,11 @@ KIND_EIGENVALUE_RATIO = "eigenvalue-ratio"
 KIND_DISTINCT_COUNT = "distinct-count"
 KIND_PROJECTIVE = "projective-noncommutativity"
 
+# Complex entries in one block of pair products of the certificate scan.
+# Blocks of 2^16 entries and more ran slower at d >= 7: their fresh stacks
+# page-fault and miss the cache.
+_PAIR_BLOCK = 2**13
+
 
 class InvalidBasisError(ValueError):
     """The input is not an orthogonal unitary basis within tolerance."""
@@ -229,11 +234,11 @@ def verify_orthogonal_unitary_basis(b: UnitaryBasis, tol: float = nk.DEFAULT_TOL
     """Check element count, unitarity, and pairwise HS orthogonality."""
     d = b.d
     count_ok = len(b.elements) == d * d
-    eye = np.eye(d)
-    unit_viol = 0.0
-    for e in b.elements:
-        unit_viol = max(unit_viol, float(np.abs(e.conj().T @ e - eye).max()))
-    flat = np.stack([e.reshape(-1) for e in b.elements])
+    e = np.stack(b.elements)
+    worst = np.abs(e.conj().transpose(0, 2, 1) @ e - np.eye(d)).max(axis=(1, 2))
+    # fmax skips a NaN element's violation, as a running max() over elements did
+    unit_viol = float(np.fmax.reduce(worst, initial=0.0))
+    flat = e.reshape(len(e), -1)
     gram = flat.conj() @ flat.T
     orth_viol = float(np.abs(gram - d * np.eye(len(b.elements))).max())
     passed = count_ok and unit_viol <= tol and orth_viol <= tol
@@ -263,9 +268,22 @@ def _scalar_defects(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c = Tr A / d and ||A - c I||_F for each matrix A of the stack a."""
     d = a.shape[-1]
     c = np.trace(a, axis1=1, axis2=2) / d
-    f = (a - c[:, None, None] * np.eye(d)).reshape(len(a), -1)
+    f = a.reshape(len(a), -1).copy()
+    f[:, :: d + 1] -= c[:, None]
     # the formula np.linalg.norm uses on one complex matrix, row by row
     return c, np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+
+
+def _pair_spans(n: int, d: int) -> list[tuple[int, int]]:
+    """Blocks [lo, hi) of the pairs (i, j), i < j, in row-major order.
+
+    Row 0's pairs come first and are blocked on their own.  No block of
+    more than one pair holds more than _PAIR_BLOCK complex entries of d x d
+    products.
+    """
+    step = max(1, _PAIR_BLOCK // (d * d))
+    ends = ((0, n - 1), (n - 1, n * (n - 1) // 2))
+    return [(lo, min(lo + step, hi)) for start, hi in ends for lo in range(start, hi, step)]
 
 
 def certify_not_clock_shift(
@@ -291,17 +309,26 @@ def certify_not_clock_shift(
     hence commute up to a phase; a pair with a commutator defect rules
     equivalence out.
 
-    Pairs (i, j), i < j, are scanned one row i at a time.  Each witness is
-    the first pair in that order (for T2 and T3, the first strict maximum).
-    The T1/T2 scan stops once T1 has a witness and some pair reaches d
-    distinct eigenvalues, since no later pair can change either result.
+    Pairs (i, j), i < j, are scanned in row-major order, in blocks of
+    consecutive pairs: row 0's pairs first, then the later rows', each block
+    holding at most _PAIR_BLOCK complex entries of products.  Each witness is
+    the first pair in that order (for T2 and T3, the first strict maximum;
+    argmax over a block returns the first).  The T1/T2 scan stops between
+    blocks once T1 has a witness and some pair reaches d distinct
+    eigenvalues, since no later pair can change either result.  Each block
+    forms its products A* B pair by pair in one stacked matmul, so every
+    statistic has the bits of the one-pair computation.
 
-    Every row after row 0 is screened before any eigensolve, with one matrix
-    power per pair.  Let k be the running maximum distinct count (k = d once
-    T2 is settled), M = A* B, P = M^k, c = Tr P / d and s = ||P - c I||_F.
-    Every eigenvalue of P is within s of c (spectral radius <= norm).  Both
-    bounds below add a rounding allowance of 4 d^2 eps and need |c| > s; no
-    unitarity of M is assumed.
+    T2 is sound only while its threshold max(10 tol, 1e-7) stays below the
+    spacing 2 sin(pi/d) of the clock's eigenvalues; a tol whose threshold
+    reaches sin(pi/d) is a ValueError.
+
+    Every block after row 0 is screened before any eigensolve, with one
+    matrix power per pair.  Let k be the running maximum distinct count at
+    the block's start (k = d once T2 is settled), M = A* B, P = M^k,
+    c = Tr P / d and s = ||P - c I||_F.  Every eigenvalue of P is within s of
+    c (spectral radius <= norm).  Both bounds below add a rounding allowance
+    of 4 d^2 eps and need |c| > s; no unitarity of M is assumed.
 
     T2 bound: by the binomial series of (1 + x)^(1/k), every eigenvalue of M
     is within rho = s |c|^(1/k) / (k (|c| - s)) of one of the k k-th roots
@@ -321,64 +348,73 @@ def certify_not_clock_shift(
 
     A pair is cleared when every test still open passes its bound, and only
     the uncleared pairs go to the eigensolver.  While T1 is open and k does
-    not divide d a row is not screened; no basis that this package or its
+    not divide d a block is not screened; no basis that this package or its
     tests build reaches that state.  A cleared pair can neither fire T1 nor
-    raise T2, so the first witness among the kept pairs of a row is the
-    row's first witness, and the certificates (kind, witness and
+    raise T2 above the k it was screened with, and that k is at most the
+    running count, so the first witness among the kept pairs of a block is
+    the block's first witness, and the certificates (kind, witness and
     repr(witness_value)) are those of the full eigenvalue scan.
 
     An empty result is NOT a proof of equivalence.
     """
     if b.d < 2:
         raise ValueError(f"certify_not_clock_shift needs d >= 2, got d = {b.d}")
+    d = b.d
+    count_tol = max(tol * 10, 1e-7)
+    if count_tol >= np.sin(np.pi / d):
+        raise ValueError(
+            f"tol = {tol!r} is too large for d = {d}: the distinct-count threshold "
+            f"max(10 tol, 1e-7) must stay below sin(pi/d) = {np.sin(np.pi / d):.6g}"
+        )
     report = verify_orthogonal_unitary_basis(b, max(tol, 1e-8))
     if not report.passed:
         raise InvalidBasisError(
             "certify_not_clock_shift requires a valid orthogonal unitary basis"
         )
-    d = b.d
     n = len(b.elements)
     e = np.stack(b.elements)
+    ec = e.conj()
+    rows, cols = np.triu_indices(n, 1)
+    spans = _pair_spans(n, d)
     certificates: list[NonEquivalenceCertificate] = []
 
     ratio_witness = None
     max_distinct = 0
     max_distinct_witness = (0, 0)
-    count_tol = max(tol * 10, 1e-7)
     allowance = 4 * d * d * np.finfo(float).eps
-    for i in range(n - 1):
-        if ratio_witness is not None and max_distinct == d:
-            break
-        m = e[i].conj().T @ e[i + 1 :]
-        cols = np.arange(i + 1, n)
-        k = max_distinct
-        if i > 0 and (ratio_witness is not None or d % k == 0):
-            c, s = _scalar_defects(np.linalg.matrix_power(m, k))
-            with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi in spans:
+            if ratio_witness is not None and max_distinct == d:
+                break
+            ii, jj = rows[lo:hi], cols[lo:hi]
+            m = ec[ii].transpose(0, 2, 1) @ e[jj]
+            k = max_distinct
+            if lo >= n - 1 and (ratio_witness is not None or d % k == 0):
+                c, s = _scalar_defects(np.linalg.matrix_power(m, k))
                 gap = np.maximum(np.abs(c) - s, 0.0)
-                rho = s * np.abs(c) ** (1 / k) / (k * gap)
-                beta = 2 * s / gap
-            clear = np.ones(len(m), dtype=bool)
-            if k < d:  # T2 open
-                clear &= 2 * rho + allowance <= count_tol / 2
-            if ratio_witness is None:  # T1 open
-                clear &= np.expm1(d // k * np.log1p(beta)) + allowance <= tol * d / 2
-            keep = np.flatnonzero(~clear)
-            if keep.size == 0:
-                continue
-            m, cols = m[keep], cols[keep]
-        w = np.linalg.eigvals(m)
-        if max_distinct < d:
-            counts = _distinct_counts(w, count_tol)
-            a = int(np.argmax(counts))
-            if counts[a] > max_distinct:
-                max_distinct, max_distinct_witness = int(counts[a]), (i, int(cols[a]))
-        if ratio_witness is None:
-            ratios = w[:, :, None] / w[:, None, :]
-            bad = np.abs(ratios**d - 1.0) > tol * d
-            if bad.any():
-                a, p, q = np.argwhere(bad)[0]
-                ratio_witness = ((i, int(cols[a])), complex(ratios[a, p, q]))
+                clear = np.ones(len(m), dtype=bool)
+                if k < d:  # T2 open
+                    rho = s * np.abs(c) ** (1 / k) / (k * gap)
+                    clear &= 2 * rho + allowance <= count_tol / 2
+                if ratio_witness is None:  # T1 open
+                    beta = 2 * s / gap
+                    clear &= np.expm1(d // k * np.log1p(beta)) + allowance <= tol * d / 2
+                keep = np.flatnonzero(~clear)
+                if keep.size == 0:
+                    continue
+                m, ii, jj = m[keep], ii[keep], jj[keep]
+            w = np.linalg.eigvals(m)
+            if max_distinct < d:
+                counts = _distinct_counts(w, count_tol)
+                a = int(np.argmax(counts))
+                if counts[a] > max_distinct:
+                    max_distinct, max_distinct_witness = int(counts[a]), (int(ii[a]), int(jj[a]))
+            if ratio_witness is None:
+                ratios = w[:, :, None] / w[:, None, :]
+                bad = np.abs(ratios**d - 1.0) > tol * d
+                if bad.any():
+                    a, p, q = np.argwhere(bad)[0]
+                    ratio_witness = ((int(ii[a]), int(jj[a])), complex(ratios[a, p, q]))
     if ratio_witness is not None:
         certificates.append(
             NonEquivalenceCertificate(
@@ -397,14 +433,16 @@ def certify_not_clock_shift(
         )
 
     g = e @ e[0].conj().T
-    gh = g.conj().transpose(0, 2, 1)
+    gc = g.conj()
     comm_witness = None
     worst = 0.0
-    for i in range(n - 1):
-        defects = _scalar_defects(g[i] @ g[i + 1 :] @ gh[i] @ gh[i + 1 :])[1]
-        k = int(np.argmax(defects))
-        if defects[k] > worst:
-            worst, comm_witness = float(defects[k]), (0, i, i + 1 + k)
+    for lo, hi in spans:
+        ii, jj = rows[lo:hi], cols[lo:hi]
+        comm = g[ii] @ g[jj] @ gc[ii].transpose(0, 2, 1) @ gc[jj].transpose(0, 2, 1)
+        defects = _scalar_defects(comm)[1]
+        a = int(np.argmax(defects))
+        if defects[a] > worst:
+            worst, comm_witness = float(defects[a]), (0, int(ii[a]), int(jj[a]))
     if worst > tol * d:
         certificates.append(
             NonEquivalenceCertificate(

@@ -61,6 +61,14 @@ def reference_certify(b, tol=nk.DEFAULT_TOL):
     return [(kind, witness, repr(value)) for kind, witness, value in out]
 
 
+def reference_unitarity_violation(b):
+    """The running max() over elements that the stacked unitarity check replaced."""
+    eye, worst = np.eye(b.d), 0.0
+    for e in b.elements:
+        worst = max(worst, float(np.abs(e.conj().T @ e - eye).max()))
+    return worst
+
+
 def certificate_list(certs):
     return [(c.kind, c.witness, repr(c.witness_value)) for c in certs]
 
@@ -100,6 +108,11 @@ def twisted_pauli_tensor(theta):
     # element 4i + j is P_i (x) P_j; the Pauli elements 2 and 3 carry X, 0 and 1 do not
     elements = tuple(e @ twist if k // 4 >= 2 and k % 4 < 2 else e for k, e in enumerate(pt.elements))
     return bases.UnitaryBasis(d=4, elements=elements)
+
+
+def pair_index(n, i, j):
+    """Position of the pair (i, j), i < j, in the row-major scan of n elements."""
+    return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
 
 
 def tensor_bases():
@@ -309,6 +322,26 @@ class TestVerify:
         )
         assert not bases.verify_orthogonal_unitary_basis(b).passed
 
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_unitarity_violation_matches_per_element_loop(self, d):
+        # a violation near 1e-9 on two elements of a moved clock/shift basis
+        rng = np.random.default_rng(d)
+        b = random_equivalence(bases.clock_shift_basis(d), rng)
+        elements = list(b.elements)
+        for k in (1, d + 2):
+            elements[k] = elements[k] + 1e-9 * rng.standard_normal((d, d))
+        noisy = bases.UnitaryBasis(d=d, elements=tuple(elements))
+        report = bases.verify_orthogonal_unitary_basis(noisy)
+        assert repr(report.max_unitarity_violation) == repr(reference_unitarity_violation(noisy))
+        assert 1e-10 < report.max_unitarity_violation < 1e-8
+
+    def test_nan_element_is_skipped_like_the_per_element_loop(self):
+        elements = (ID2, np.full((2, 2), np.nan + 0j), PAULI_X, 1.5 * PAULI_Y)
+        b = bases.UnitaryBasis(d=2, elements=elements)
+        report = bases.verify_orthogonal_unitary_basis(b)
+        assert report.max_unitarity_violation == reference_unitarity_violation(b) == 1.25
+        assert not report.passed
+
 
 class TestCertify:
     def test_matching5_fires_ratio(self):
@@ -384,6 +417,18 @@ class TestCertify:
         with pytest.raises(ValueError):
             bases.certify_not_clock_shift(broken)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_rejects_tol_at_clock_spacing(self, d):
+        # the distinct-count threshold max(10 tol, 1e-7) must stay below
+        # sin(pi/d), half the spacing of the clock's eigenvalues
+        b = bases.clock_shift_basis(d)
+        edge = np.sin(np.pi / d) / 10
+        assert bases.certify_not_clock_shift(b, 0.99 * edge) == []
+        for tol in (1.01 * edge, 1.0):
+            with pytest.raises(ValueError, match="tol") as err:
+                bases.certify_not_clock_shift(b, tol)
+            assert not isinstance(err.value, bases.InvalidBasisError)
+
     def test_rejects_dimension_one(self):
         # a lone 1x1 unitary is a valid basis, but it has no pairs to certify
         b = bases.UnitaryBasis(d=1, elements=(np.eye(1, dtype=complex),))
@@ -393,7 +438,7 @@ class TestCertify:
 
 
 class TestCertifyMatchesReference:
-    """The row-block scan returns exactly what the per-pair loop returned."""
+    """The block scan returns exactly what the per-pair loop returned."""
 
     @pytest.mark.parametrize("b", [pytest.param(b, id=name) for name, b in criterion2_bases()])
     def test_criterion2_bases(self, b):
@@ -453,6 +498,70 @@ class TestCertifyMatchesReference:
         moved = random_equivalence(b, np.random.default_rng(b.d))
         assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize(
+        "family,d",
+        [("clock-shift", 9), ("clock-shift", 12), ("matching", 9), ("matching", 10)],
+    )
+    def test_many_blocks(self, family, d, tol):
+        b = bases.clock_shift_basis(d) if family == "clock-shift" else bases.matching_basis(d)
+        n = d * d
+        assert n * (n - 1) // 2 * d * d > 8 * bases._PAIR_BLOCK
+        moved = random_equivalence(b, np.random.default_rng([d, 5]))
+        got = certificate_list(bases.certify_not_clock_shift(moved, tol))
+        assert got == reference_certify(moved, tol)
+
+    @pytest.mark.parametrize("place", ["first", "last"])
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_firing_pair_at_a_block_edge(self, monkeypatch, d, place):
+        # blocks after row 0 start at pair n - 1; size them so that the
+        # eigenvalue-ratio witness (d, 3d) opens or closes one
+        n = d * d
+        offset = pair_index(n, d, 3 * d) - (n - 1)
+        step = offset if place == "first" else offset + 1
+        monkeypatch.setattr(bases, "_PAIR_BLOCK", step * d * d)
+        start = n - 1 + (offset if place == "first" else 0)
+        assert (start, start + step) in bases._pair_spans(n, d)
+        b = twisted_clock_shift(d)
+        certs = bases.certify_not_clock_shift(b)
+        assert certs[0].witness == (d, 3 * d)
+        assert certificate_list(certs) == reference_certify(b)
+        moved = random_equivalence(b, np.random.default_rng([d, 17]))
+        assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
+
+    @pytest.mark.parametrize("block", [None, 2**9])
+    @pytest.mark.parametrize(
+        "b",
+        [
+            pytest.param(bases.clock_shift_basis(12), id="clock-shift-12"),
+            pytest.param(bases.matching_basis(10), id="matching-10"),
+            pytest.param(bases.pauli_tensor_basis(8), id="pauli-tensor-8"),
+            pytest.param(twisted_pauli_tensor(0.3), id="twisted-pauli-tensor-4"),
+        ],
+    )
+    def test_no_stack_exceeds_the_block(self, monkeypatch, b, block):
+        if block is not None:
+            monkeypatch.setattr(bases, "_PAIR_BLOCK", block)
+        limit = bases._PAIR_BLOCK
+        moved = random_equivalence(b, np.random.default_rng(b.d))
+        sizes = []
+        eigvals, matrix_power = np.linalg.eigvals, np.linalg.matrix_power
+
+        def counting_eigvals(a):
+            sizes.append(a.size)
+            return eigvals(a)
+
+        def counting_power(a, k):
+            sizes.append(a.size)
+            return matrix_power(a, k)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(np.linalg, "matrix_power", counting_power)
+        certs = bases.certify_not_clock_shift(moved)
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= limit
+        assert certificate_list(certs) == reference_certify(moved)
+
     @pytest.mark.parametrize(
         "b,rows",
         [
@@ -477,13 +586,14 @@ class TestCertifyMatchesReference:
         ],
     )
     def test_eigenvalue_scan_stops_once_settled(self, monkeypatch, b, rows):
-        # matching bases settle T1 and T2 on row 0.  Clock/shift settles T2 on
-        # row 0, and the d-th-power screen clears every later pair; the twisted
-        # basis sends only row d's uncleared pairs, where T1 fires, to eigvals.
-        # Pauli tensors and cs3xcs3 stop at k = 2 and 3 distinct eigenvalues on
-        # row 0, and every later pair has a scalar k-th power, so the k-th-power
-        # screen clears it.  The twisted Pauli tensor sends row 2's uncleared
-        # pairs, where T1 fires and T2 settles, to eigvals.
+        # Each call is one block of pairs; row 0 of every basis here fits one
+        # block.  Matching bases settle T1 and T2 on row 0.  Clock/shift settles
+        # T2 on row 0, and the d-th-power screen clears every later pair; in the
+        # twisted basis only the block holding row d keeps pairs, those where T1
+        # fires.  Pauli tensors and cs3xcs3 stop at k = 2 and 3 distinct
+        # eigenvalues on row 0, and every later pair has a scalar k-th power, so
+        # the k-th-power screen clears it.  The twisted Pauli tensor keeps only
+        # row 2's pairs where T1 fires and T2 settles, all in one block.
         calls = []
         eigvals = np.linalg.eigvals
 

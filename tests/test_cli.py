@@ -127,6 +127,16 @@ class TestExitCodes:
         assert main(["basis", "certify", str(tmp_path / "dup.json")]) == 1
         assert "valid orthogonal unitary basis" in capsys.readouterr().err
 
+    def test_certify_tol_beyond_clock_spacing_is_usage_error(self, tmp_path, capsys):
+        # at --tol 1 the distinct-count threshold 10 exceeds the spacing of
+        # the clock's eigenvalues, so clock/shift would certify against itself
+        path, out = str(tmp_path / "cs4.json"), tmp_path / "out.json"
+        assert main(["basis", "build", "--kind", "clock-shift", "--d", "4", "-o", path]) == 0
+        assert main(["basis", "certify", path, "--tol", "1", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: tol = 1.0 is too large for d = 4")
+
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.json")
         assert main(["random", "run", "--d", "2", "--trials", "1", "-o", out]) == 2
@@ -518,6 +528,26 @@ class TestDeterminism:
             )
             outputs.append((proc.stdout, read(csv)))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("tol,code", [("1e-9", 1), ("1e-8", 0)])
+    def test_check_report_bytes_near_unitary(self, tol, code, tmp_path, capsys):
+        # one Pauli-tensor element scaled by 1 + 2^-30: every product is exact,
+        # so the violations are 2^-29 (unitarity) and 2^-27 (orthogonality)
+        b = bases.pauli_tensor_basis(4)
+        elements = list(b.elements)
+        elements[5] = elements[5] * (1 + 2.0**-30)
+        path = str(tmp_path / "b.json")
+        serialize.save_basis(bases.UnitaryBasis(d=4, elements=tuple(elements)), path)
+        assert main(["basis", "check", path, "--tol", tol]) == code
+        assert capsys.readouterr().out == (
+            "{\n"
+            f' "passed": {"true" if code == 0 else "false"},\n'
+            ' "element_count_ok": true,\n'
+            ' "max_unitarity_violation": 1.862645149230957e-09,\n'
+            ' "max_orthogonality_violation": 7.450580596923828e-09,\n'
+            f' "tol": {float(tol)!r}\n'
+            "}\n"
+        )
 
     def test_canonicalize_bytes(self, tmp_path, capsys):
         proto = str(tmp_path / "p.json")
