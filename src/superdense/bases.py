@@ -236,8 +236,7 @@ def verify_orthogonal_unitary_basis(b: UnitaryBasis, tol: float = nk.DEFAULT_TOL
     count_ok = len(b.elements) == d * d
     e = np.stack(b.elements)
     worst = np.abs(e.conj().transpose(0, 2, 1) @ e - np.eye(d)).max(axis=(1, 2))
-    # fmax skips a NaN element's violation, as a running max() over elements did
-    unit_viol = float(np.fmax.reduce(worst, initial=0.0))
+    unit_viol = float(worst.max(initial=0.0))
     flat = e.reshape(len(e), -1)
     gram = flat.conj() @ flat.T
     orth_viol = float(np.abs(gram - d * np.eye(len(b.elements))).max())

@@ -49,20 +49,19 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _build_basis(args) -> bases.UnitaryBasis:
-    if args.kind == "clock-shift":
-        return bases.clock_shift_basis(args.d)
-    if args.kind == "pauli-tensor":
-        return bases.pauli_tensor_basis(args.d)
-    if args.kind == "matching":
-        return bases.matching_basis(args.d)
-    if args.kind == "werner3":
-        return bases.werner3_basis(complex(math.cos(args.beta_angle), math.sin(args.beta_angle)))
-    raise ValueError(f"unknown basis kind {args.kind!r}")
+# --kind's choices, in --help order, each with its builder
+_BASIS_KINDS = {
+    "clock-shift": lambda args: bases.clock_shift_basis(args.d),
+    "pauli-tensor": lambda args: bases.pauli_tensor_basis(args.d),
+    "matching": lambda args: bases.matching_basis(args.d),
+    "werner3": lambda args: bases.werner3_basis(
+        complex(math.cos(args.beta_angle), math.sin(args.beta_angle))
+    ),
+}
 
 
 def _cmd_basis_build(args) -> int:
-    serialize.save_basis(_build_basis(args), args.output)
+    serialize.save_basis(_BASIS_KINDS[args.kind](args), args.output)
     return 0
 
 
@@ -163,11 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     basis_sub = basis_p.add_subparsers(dest="subcommand", required=True)
 
     build = basis_sub.add_parser("build", help="construct a basis and write it as JSON")
-    build.add_argument(
-        "--kind",
-        required=True,
-        choices=["clock-shift", "pauli-tensor", "matching", "werner3"],
-    )
+    build.add_argument("--kind", required=True, choices=list(_BASIS_KINDS))
     build.add_argument("--d", type=int, default=3, help="dimension (ignored for werner3)")
     build.add_argument(
         "--beta-angle",

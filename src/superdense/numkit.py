@@ -156,13 +156,14 @@ def _complement_basis(vectors: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(out) if out else np.zeros((n, 0), dtype=complex)
 
 
-def polar_decomposition(f, rank_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def polar_decomposition(f) -> tuple[np.ndarray, np.ndarray]:
     """Left polar decomposition f = d @ t with d PSD and t unitary.
 
-    Built from the SVD; on a singular input the unitary factor is completed
-    by pairing left/right null bases (Gram-Schmidt over the standard basis,
-    index order), so the result is deterministic: f = 0 yields t = identity,
-    and [[0,2],[0,0]] yields t = [[0,1],[1,0]].
+    Built from the SVD; on a singular input (a singular value at most 1e-12
+    times the largest) the unitary factor is completed by pairing left/right
+    null bases (Gram-Schmidt over the standard basis, index order), so the
+    result is deterministic: f = 0 yields t = identity, and [[0,2],[0,0]]
+    yields t = [[0,1],[1,0]].
     """
     f = _as_matrix(f)
     if f.shape[0] != f.shape[1]:
@@ -170,7 +171,7 @@ def polar_decomposition(f, rank_tol: float = 1e-12) -> tuple[np.ndarray, np.ndar
     n = f.shape[0]
     u, s, vh = np.linalg.svd(f)
     d = (u * s) @ u.conj().T
-    r = int(np.sum(s > rank_tol * (s[0] if s.size else 0.0)))
+    r = int(np.sum(s > 1e-12 * (s[0] if s.size else 0.0)))
     if r == n:
         return d, u @ vh
     ur, vr = u[:, :r], vh[:r].conj().T

@@ -3,6 +3,9 @@
 A protocol is a shared density matrix on A' (x) A'' (x) B together with d^2
 encoding unitaries on A' (x) A''; A'' is the d-dimensional system that gets
 sent.  Factor order everywhere is (A', A'', B), left factor slow.
+The canonical qubit protocol (`canonical_form`) and a local equivalence to
+it (`CanonicalDecomposition`) live here: `random_scrambled_bw` plants one,
+`rigidity` recovers one.
 """
 
 from __future__ import annotations
@@ -108,6 +111,17 @@ class ErrorlessReport:
     tol: float
 
 
+@dataclass(frozen=True)
+class CanonicalDecomposition:
+    """A protocol's local equivalence (V, W, C_i) to its `canonical_form`."""
+
+    v: np.ndarray
+    w: np.ndarray
+    c: tuple[np.ndarray, ...]
+    rho: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray, int], ...]  # (P_r, S_r, sign_r)
+
+
 def bennett_wiesner() -> Protocol:
     """The qubit protocol: EPR pair, encoders (1, Z, X, Y)."""
     epr = nk.max_entangled(2)
@@ -135,6 +149,35 @@ def canonical_protocol(basis) -> Protocol:
         tau=np.outer(ket, ket.conj()),
         encoders=tuple(np.array(e) for e in basis.elements),
     )
+
+
+def canonical_state(rho: np.ndarray, dim_a_prime: int, dim_b_prime: int) -> np.ndarray:
+    """rho (x) EPR with factors reordered from (A', B', A'', B'') to (A', A'', B', B'')."""
+    epr = nk.max_entangled(2)
+    return nk.permute_factors(
+        nk.tensor(rho, np.outer(epr, epr.conj())),
+        [dim_a_prime, dim_b_prime, 2, 2],
+        [0, 2, 1, 3],
+    )
+
+
+def canonical_form(rho: np.ndarray, dim_a_prime: int, blocks) -> Protocol:
+    """The canonical qubit protocol every errorless one is locally equivalent to.
+
+    State rho (x) EPR on A' (x) A'' (x) B' (x) B'' (rho on A' (x) B'), and
+    encoders sum_r P_r (x) S_r sigma_i S_r^* over blocks (P_r, S_r, sign_r)
+    and sigma_i in (1, Z, X, Y); the signs are not read.  Unlike
+    `canonical_protocol`, which puts a d-dimensional basis on a maximally
+    entangled state, this is the qubit normal form with an ancilla.
+    """
+    a1, b1 = dim_a_prime, rho.shape[0] // dim_a_prime
+    encoders = []
+    for sigma in nk.PAULIS:
+        u = np.zeros((2 * a1, 2 * a1), dtype=complex)
+        for p_r, s_r, _sign in blocks:
+            u += np.kron(p_r, s_r @ sigma @ s_r.conj().T)
+        encoders.append(u)
+    return Protocol(a1, 2, 2 * b1, canonical_state(rho, a1, b1), tuple(encoders))
 
 
 def _state_factor(tau: np.ndarray, cut: float = 1e-13) -> np.ndarray:
@@ -308,22 +351,18 @@ def random_scrambled_bw(
     dim_a_prime: int = 1,
     dim_b_prime: int = 1,
     blocks: int = 1,
-    trivial: bool = False,
 ):
     """Sample an errorless qubit protocol with a planted canonical form.
 
-    Builds tau = (V (x) W)^* (rho (x) EPR) (V (x) W) and encoders
-    U_i = (C_i (x) 1)(sum_r P_r (x) S_r sigma_i S_r^*) V, then returns the
-    protocol together with the planted decomposition.
+    Samples rho, blocks (P_r, S_r, 1), C_i, V and W, and returns the
+    `canonical_form` of (rho, blocks) under the local equivalence
+    (V^*, C, W^*), together with that planted decomposition.
 
     rho is sampled block-classically: Alice-block r is paired with its own
     band of B', so Bob's side of the ancilla reveals r.  That correlation is
     what makes the planted protocol errorless, and it forces
-    blocks <= min(dim A', dim B').  With ``trivial`` all random draws are
-    identities and the result is exactly the Bennett-Wiesner protocol.
+    blocks <= min(dim A', dim B').
     """
-    from .rigidity import CanonicalDecomposition, block_operator, canonical_state
-
     a1, b1 = int(dim_a_prime), int(dim_b_prime)
     if a1 < 1 or b1 < 1 or blocks < 1:
         raise ValueError("dimensions and block count must be positive")
@@ -332,41 +371,29 @@ def random_scrambled_bw(
 
     a_sizes = _split_sizes(a1, blocks)
     b_sizes = _split_sizes(b1, blocks)
-    q_basis = np.eye(a1, dtype=complex) if trivial else nk.haar_unitary(a1, rng)
-    weights = np.full(blocks, 1.0 / blocks) if trivial else rng.dirichlet(np.ones(blocks))
+    q_basis = nk.haar_unitary(a1, rng)
+    weights = rng.dirichlet(np.ones(blocks))
 
-    p_projs, s_rots = [], []
+    planted_blocks = []
     rho = np.zeros((a1 * b1, a1 * b1), dtype=complex)
     a_off = b_off = 0
     for r in range(blocks):
         qa = q_basis[:, a_off : a_off + a_sizes[r]]
         eb = np.eye(b1, dtype=complex)[:, b_off : b_off + b_sizes[r]]
-        p_projs.append(qa @ qa.conj().T)
-        s_rots.append(np.eye(2, dtype=complex) if trivial else nk.haar_unitary(2, rng))
+        planted_blocks.append((qa @ qa.conj().T, nk.haar_unitary(2, rng), 1))
         m = a_sizes[r] * b_sizes[r]
-        if trivial:
-            small = np.eye(m, dtype=complex) / m
-        else:
-            g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            small = g @ g.conj().T
-            small /= np.trace(small).real
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        small = g @ g.conj().T
+        small /= np.trace(small).real
         embed = np.kron(qa, eb)
         rho += weights[r] * (embed @ small @ embed.conj().T)
         a_off += a_sizes[r]
         b_off += b_sizes[r]
 
-    cs = [np.eye(a1, dtype=complex) if trivial else nk.haar_unitary(a1, rng) for _ in range(4)]
-    v = np.eye(2 * a1, dtype=complex) if trivial else nk.haar_unitary(2 * a1, rng)
-    w = np.eye(2 * b1, dtype=complex) if trivial else nk.haar_unitary(2 * b1, rng)
+    cs = tuple(nk.haar_unitary(a1, rng) for _ in range(4))
+    v = nk.haar_unitary(2 * a1, rng)
+    w = nk.haar_unitary(2 * b1, rng)
 
-    vw = np.kron(v, w)
-    tau = vw.conj().T @ canonical_state(rho, a1, b1) @ vw
-
-    blocks = tuple((p_r, s_r, 1) for p_r, s_r in zip(p_projs, s_rots))
-    encoders = tuple(
-        np.kron(cs[i], np.eye(2)) @ block_operator(a1, blocks, sig) @ v
-        for i, sig in enumerate(nk.PAULIS)
-    )
-    proto = Protocol(dim_a_prime=a1, dim_a_dbl=2, dim_b=2 * b1, tau=tau, encoders=encoders)
-    planted = CanonicalDecomposition(v=v, w=w, c=tuple(cs), rho=rho, blocks=blocks)
-    return proto, planted
+    blocks = tuple(planted_blocks)
+    proto = apply_local_equivalence(canonical_form(rho, a1, blocks), v.conj().T, cs, w.conj().T)
+    return proto, CanonicalDecomposition(v=v, w=w, c=cs, rho=rho, blocks=blocks)

@@ -208,11 +208,11 @@ def kolmogorov_distance(eigenvalues, p: MPParams) -> float:
     return float(np.max(np.maximum(np.abs(ref - upper), np.abs(ref - lower))))
 
 
-def mean_sqrt_esd(eigenvalues, tol: float = nk.DEFAULT_TOL) -> float:
+def mean_sqrt_esd(eigenvalues) -> float:
     """(1/n) sum_i sqrt(lambda_i); equals the Holevo-Curlander scalar of the
     underlying uniform pure ensemble."""
     w = np.asarray(eigenvalues, dtype=float)
-    if w.min(initial=0.0) < -tol:
+    if w.min(initial=0.0) < -nk.DEFAULT_TOL:
         raise ValueError(f"negative eigenvalue {w.min()} in ESD sample")
     return float(np.sqrt(np.clip(w, 0.0, None)).sum() / w.size)
 

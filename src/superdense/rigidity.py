@@ -6,8 +6,9 @@ encoder into projector-controlled 2x2 Hermitian unitaries
 (`block_diagonalize`), match the blocks across encoders by peeling common
 eigenvectors of overlap triangles (`match_blocks`), and rotate each matched
 triple onto (Z, X, Y) (`pauli_frame`).  `canonicalize` composes the stages
-and tracks every Alice-side correction into the final decomposition, which
-`verify_decomposition` checks against the original protocol.
+and tracks every Alice-side correction into a `protocol.CanonicalDecomposition`,
+which `verify_decomposition` checks against the original protocol through
+`protocol.canonical_form`.
 
 Each stage computes a fact once and passes it on, and holds an eigenspace
 as the orthonormal eigenvector columns of the eigendecomposition that found
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import numkit as nk
 from .numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
-from .protocol import Protocol, _state_factor, verify_errorless
+from .protocol import CanonicalDecomposition, Protocol, _state_factor, canonical_form
+from .protocol import canonical_state, verify_errorless
 
 DEFAULT_STAGE_TOL = 1e-8
 
@@ -94,38 +96,11 @@ class MatchedBlocks:
 
 
 @dataclass(frozen=True)
-class CanonicalDecomposition:
-    v: np.ndarray
-    w: np.ndarray
-    c: tuple[np.ndarray, ...]
-    rho: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray, int], ...]  # (P_r, S_r, sign_r)
-
-
-@dataclass(frozen=True)
 class DecompositionReport:
     passed: bool
     state_residual: float
     encoder_residuals: tuple[float, ...]
     tol: float
-
-
-def canonical_state(rho: np.ndarray, dim_a_prime: int, dim_b_prime: int) -> np.ndarray:
-    """rho (x) EPR with factors reordered from (A', B', A'', B'') to (A', A'', B', B'')."""
-    epr = nk.max_entangled(2)
-    return nk.permute_factors(
-        nk.tensor(rho, np.outer(epr, epr.conj())),
-        [dim_a_prime, dim_b_prime, 2, 2],
-        [0, 2, 1, 3],
-    )
-
-
-def block_operator(dim_a_prime: int, blocks, sigma: np.ndarray) -> np.ndarray:
-    """sum_r P_r (x) S_r sigma S_r^* on A' (x) A'' over blocks (P_r, S_r, sign_r)."""
-    out = np.zeros((2 * dim_a_prime, 2 * dim_a_prime), dtype=complex)
-    for p_r, s_r, _sign in blocks:
-        out += np.kron(p_r, s_r @ sigma @ s_r.conj().T)
-    return out
 
 
 def _principal_unitary_sqrt(u: np.ndarray) -> np.ndarray:
@@ -572,18 +547,18 @@ def verify_decomposition(
     a1, d, b = p.dims
     if d != 2:
         raise ValueError("decompositions are defined for qubit messages")
-    dim_bp = dec.rho.shape[0] // a1
+    canon = canonical_form(dec.rho, a1, dec.blocks)
     vw = np.kron(dec.v, dec.w)
     tau_p = vw @ p.tau @ vw.conj().T
 
-    state_resid = nk.trace_distance(tau_p, canonical_state(dec.rho, a1, dim_bp))
+    state_resid = nk.trace_distance(tau_p, canon.tau)
 
-    eye_b = np.eye(2 * dim_bp)
+    eye_b = np.eye(canon.dim_b)
     enc_resids = []
-    for i, (u, c_i) in enumerate(zip(p.encoders, dec.c)):
+    for u, c_i, target in zip(p.encoders, dec.c, canon.encoders):
         left = np.kron(c_i.conj().T, ID2) @ u @ dec.v.conj().T
         lhs = np.kron(left, eye_b)
-        rhs = np.kron(block_operator(a1, dec.blocks, nk.PAULIS[i]), eye_b)
+        rhs = np.kron(target, eye_b)
         enc_resids.append(
             nk.trace_distance(lhs @ tau_p @ lhs.conj().T, rhs @ tau_p @ rhs.conj().T)
         )

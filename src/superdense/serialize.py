@@ -18,8 +18,7 @@ from typing import Any
 import numpy as np
 
 from .bases import UnitaryBasis
-from .protocol import InvalidProtocolError, Protocol
-from .rigidity import CanonicalDecomposition
+from .protocol import CanonicalDecomposition, InvalidProtocolError, Protocol
 
 
 class SerializationError(ValueError):

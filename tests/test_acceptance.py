@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from superdense import bases
+from superdense import numkit as nk
 from superdense import protocol as pr
 from superdense import randlab as rl
 from superdense import rigidity as rg
@@ -124,6 +125,20 @@ def test_criterion_4_rigidity_round_trip():
         4, "rigidity round-trip", ok,
         "; ".join(failures) or f"50 instances, worst residual {worst:.2e} < 1e-7",
     )
+
+
+def test_criterion_4_scrambles_equal_the_explicit_construction():
+    # random_scrambled_bw transports canonical_form along (V^*, C, W^*); spelled
+    # out, that is (V (x) W)^* (rho (x) EPR)(V (x) W) and (C_i (x) 1)(sum_r ...) V
+    for seed, a1, b1, blocks in scramble_configs(50):
+        p, dec = pr.random_scrambled_bw(np.random.default_rng([424242, seed]), a1, b1, blocks)
+        vw = np.kron(dec.v, dec.w)
+        assert np.array_equal(p.tau, vw.conj().T @ pr.canonical_state(dec.rho, a1, b1) @ vw)
+        for c_i, sigma, u in zip(dec.c, nk.PAULIS, p.encoders, strict=True):
+            block_sum = np.zeros((2 * a1, 2 * a1), dtype=complex)
+            for p_r, s_r, _sign in dec.blocks:
+                block_sum += np.kron(p_r, s_r @ sigma @ s_r.conj().T)
+            assert np.array_equal(u, np.kron(c_i, np.eye(2)) @ block_sum @ dec.v)
 
 
 def test_criterion_5_random_protocol_limit():

@@ -335,11 +335,12 @@ class TestVerify:
         assert repr(report.max_unitarity_violation) == repr(reference_unitarity_violation(noisy))
         assert 1e-10 < report.max_unitarity_violation < 1e-8
 
-    def test_nan_element_is_skipped_like_the_per_element_loop(self):
+    def test_nan_element_reports_nan_unitarity_violation(self):
+        # 1.5 Y alone would give 1.25; the all-NaN element must not hide behind it
         elements = (ID2, np.full((2, 2), np.nan + 0j), PAULI_X, 1.5 * PAULI_Y)
         b = bases.UnitaryBasis(d=2, elements=elements)
         report = bases.verify_orthogonal_unitary_basis(b)
-        assert report.max_unitarity_violation == reference_unitarity_violation(b) == 1.25
+        assert np.isnan(report.max_unitarity_violation)
         assert not report.passed
 
 

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,16 +395,29 @@ class TestLocalEquivalence:
             assert np.max(np.abs(sa - sb)) < 1e-10
 
 
-class TestRandomScrambledBW:
-    def test_trivial_mode_is_bennett_wiesner(self):
-        rng = np.random.default_rng(0)
-        p, planted = pr.random_scrambled_bw(rng, 1, 1, 1, trivial=True)
+class TestCanonicalForm:
+    def test_one_identity_block_is_bennett_wiesner(self):
+        one = np.eye(1, dtype=complex)
+        p = pr.canonical_form(one, 1, ((one, ID2, 1),))
         bw = pr.bennett_wiesner()
-        assert np.allclose(p.tau, bw.tau)
-        for a, b in zip(p.encoders, bw.encoders):
-            assert np.allclose(a, b)
-        assert len(planted.blocks) == 1
+        assert p.dims == bw.dims
+        assert np.array_equal(p.tau, bw.tau)
+        for a, b in zip(p.encoders, bw.encoders, strict=True):
+            assert np.array_equal(a, b)
 
+    def test_protocol_and_serialize_leave_rigidity_unloaded(self):
+        script = "import sys, superdense.serialize, superdense.protocol; print(sorted(sys.modules))"
+        src = str(Path(pr.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "'superdense.protocol'" in proc.stdout
+        assert "'superdense.rigidity'" not in proc.stdout
+
+
+class TestRandomScrambledBW:
     @pytest.mark.parametrize("seed", range(4))
     def test_errorless_and_planted_verifies(self, seed):
         from superdense.rigidity import verify_decomposition

@@ -43,24 +43,10 @@ NICE_FORM_ITEMS = {
 }
 
 
-def block_protocol(p_projs, rotations, rho, dim_b_prime, corrections=None, v=None, w=None):
-    """Protocol tau = (V (x) W)^*(rho (x) EPR)(V (x) W), encoders from 2x2 blocks."""
-    a1 = p_projs[0].shape[0]
-    sigma0 = nk.permute_factors(
-        nk.tensor(rho, epr_density()), [a1, dim_b_prime, 2, 2], [0, 2, 1, 3]
-    )
-    v = np.eye(2 * a1, dtype=complex) if v is None else v
-    w = np.eye(2 * dim_b_prime, dtype=complex) if w is None else w
-    vw = np.kron(v, w)
-    tau = vw.conj().T @ sigma0 @ vw
-    encoders = []
-    for i, sig in enumerate(nk.PAULIS):
-        block_sum = sum(
-            np.kron(pp, s @ sig @ s.conj().T) for pp, s in zip(p_projs, rotations)
-        )
-        ci = np.eye(a1, dtype=complex) if corrections is None else corrections[i]
-        encoders.append(np.kron(ci, ID2) @ block_sum @ v)
-    return pr.Protocol(a1, 2, 2 * dim_b_prime, tau, tuple(encoders))
+def block_protocol(p_projs, rotations, rho):
+    """The canonical form of rho (on A' (x) B') with blocks (P_r, S_r, 1), unscrambled."""
+    blocks = tuple((pp, s, 1) for pp, s in zip(p_projs, rotations))
+    return pr.canonical_form(rho, p_projs[0].shape[0], blocks)
 
 
 def one_block_protocol(a1, delta, seed, noise=0.0, b1=2):
@@ -79,14 +65,10 @@ def one_block_protocol(a1, delta, seed, noise=0.0, b1=2):
         rho[k * b1:(k + 1) * b1, k * b1:(k + 1) * b1] = lam[k] * sigma / np.trace(sigma).real
     blocks = ((np.eye(a1, dtype=complex), haar(2, rng), 1),)
     v, w = haar(2 * a1, rng), haar(2 * b1, rng)
-    vw = np.kron(v, w)
-    tau = vw.conj().T @ rg.canonical_state(rho, a1, b1) @ vw
-    tau = (1 - noise) * tau + noise * np.eye(tau.shape[0]) / tau.shape[0]
-    encoders = tuple(
-        np.kron(haar(a1, rng), ID2) @ rg.block_operator(a1, blocks, sig) @ v
-        for sig in nk.PAULIS
-    )
-    return pr.Protocol(a1, 2, 2 * b1, tau, encoders)
+    cs = [haar(a1, rng) for _ in range(4)]
+    p = pr.apply_local_equivalence(pr.canonical_form(rho, a1, blocks), v.conj().T, cs, w.conj().T)
+    tau = (1 - noise) * p.tau + noise * np.eye(p.tau.shape[0]) / p.tau.shape[0]
+    return pr.Protocol(a1, 2, 2 * b1, tau, p.encoders)
 
 
 GAP_SWEEP = [
@@ -216,10 +198,7 @@ class TestToNiceForm:
 
 class TestBlockDiagonalize:
     def test_single_block_x_encoder(self):
-        p = block_protocol(
-            [np.eye(1, dtype=complex)], [np.eye(2, dtype=complex)],
-            np.eye(1, dtype=complex), 1,
-        )
+        p = block_protocol([np.eye(1, dtype=complex)], [ID2], np.eye(1, dtype=complex))
         nf = rg.to_nice_form(p)
         bf = rg.block_diagonalize(nf)
         # encoder 3 (index 2 of blocks) carries X
@@ -234,7 +213,7 @@ class TestBlockDiagonalize:
         rho = 0.5 * np.kron(proj, np.diag([1.0, 0.0])) + 0.5 * np.kron(
             comp, np.diag([0.0, 1.0])
         )
-        p = block_protocol([proj, comp], [ID2, had], rho.astype(complex), 2)
+        p = block_protocol([proj, comp], [ID2, had], rho.astype(complex))
         nf = rg.to_nice_form(p)
         bf = rg.block_diagonalize(nf)
         z_blocks = bf.blocks[0]  # encoder 2 plants P(x)Z + P_perp(x)HZH
@@ -308,10 +287,7 @@ class TestCommonEigenvector:
 
 class TestMatchBlocks:
     def test_single_block(self):
-        p = block_protocol(
-            [np.eye(1, dtype=complex)], [np.eye(2, dtype=complex)],
-            np.eye(1, dtype=complex), 1,
-        )
+        p = block_protocol([np.eye(1, dtype=complex)], [ID2], np.eye(1, dtype=complex))
         mb = rg.match_blocks(rg.block_diagonalize(rg.to_nice_form(p)))
         assert len(mb.k_projectors) == 1
         assert np.allclose(mb.k_projectors[0], np.eye(1))
@@ -345,7 +321,7 @@ class TestMatchBlocks:
             2 / 3 * np.kron(proj / 2, np.diag([1.0, 0.0]))
             + 1 / 3 * np.kron(comp, np.diag([0.0, 1.0]))
         ).astype(complex)
-        p = block_protocol([proj, comp], [haar(2, rng), haar(2, rng)], rho, 2)
+        p = block_protocol([proj, comp], [haar(2, rng), haar(2, rng)], rho)
         mb = rg.match_blocks(rg.block_diagonalize(rg.to_nice_form(p)))
         assert len(mb.k_projectors) == 3
         for k in mb.k_projectors:
