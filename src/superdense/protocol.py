@@ -5,7 +5,8 @@ encoding unitaries on A' (x) A''; A'' is the d-dimensional system that gets
 sent.  Factor order everywhere is (A', A'', B), left factor slow.
 The canonical qubit protocol (`canonical_form`) and a local equivalence to
 it (`CanonicalDecomposition`) live here: `random_scrambled_bw` plants one,
-`rigidity` recovers one.
+`rigidity` recovers one.  Every move of a protocol along (V, C_i, W), W a
+unitary or a Bob-side isometry, is `apply_local_equivalence`.
 """
 
 from __future__ import annotations
@@ -313,32 +314,34 @@ def distinguishability_bounds(e: StateEnsemble, tol: float = nk.DEFAULT_TOL):
 
 
 def apply_local_equivalence(p: Protocol, v, c, w) -> Protocol:
-    """Transport a protocol along a local equivalence.
+    """Transport a protocol along a local equivalence (V, C_i, W).
 
-    v acts on A' (x) A'', each c[i] on A', and w on B.  The state becomes
-    (v (x) w) tau (v (x) w)^*, the encoders (c[i] (x) 1) U_i v^*.  The
-    Bob-side unitary w goes beyond the Alice-only definition but trivially
-    preserves decodability.
+    v acts on A' (x) A'', each c[i] on A', and w maps B into Bob's new space:
+    a unitary, or an isometry such as W: B -> B' (x) B'', whose row count is
+    the result's dim_b.  The state becomes (v (x) w) tau (v (x) w)^*, the
+    encoders (c[i] (x) 1) U_i v^*.  A wrong shape or count raises ValueError
+    naming v, w, c or c[k].
     """
     a1, d, b = p.dims
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if v.shape != (p.dim_a, p.dim_a):
-        raise ValueError(f"v must act on A, shape {(p.dim_a,) * 2}")
-    if w.shape != (b, b):
-        raise ValueError(f"w must act on B, shape {(b, b)}")
-    if len(c) != len(p.encoders):
-        raise ValueError("need one A'-side correction per encoder")
+    if v.shape != (p.dim_a,) * 2:
+        raise ValueError(f"v must act on A: expected shape {(p.dim_a,) * 2}, got {v.shape}")
+    if w.ndim != 2 or w.shape[1] != b:
+        raise ValueError(f"w must map B to Bob's space: expected shape (m, {b}), got {w.shape}")
+    n = len(p.encoders)
+    if len(c) != n:
+        raise ValueError(f"c must hold one correction per encoder: expected {n}, got {len(c)}")
     vw = np.kron(v, w)
     tau = vw @ p.tau @ vw.conj().T
     eye_d = np.eye(d)
     encoders = []
-    for ci, u in zip(c, p.encoders):
+    for k, (ci, u) in enumerate(zip(c, p.encoders)):
         ci = np.asarray(ci, dtype=complex)
         if ci.shape != (a1, a1):
-            raise ValueError(f"corrections must act on A', shape {(a1, a1)}")
+            raise ValueError(f"c[{k}] must act on A': expected shape {(a1, a1)}, got {ci.shape}")
         encoders.append(np.kron(ci, eye_d) @ u @ v.conj().T)
-    return Protocol(a1, d, b, tau, tuple(encoders))
+    return Protocol(a1, d, w.shape[0], tau, tuple(encoders))
 
 
 def _split_sizes(total: int, parts: int) -> list[int]:

@@ -8,7 +8,8 @@ eigenvectors of overlap triangles (`match_blocks`), and rotate each matched
 triple onto (Z, X, Y) (`pauli_frame`).  `canonicalize` composes the stages
 and tracks every Alice-side correction into a `protocol.CanonicalDecomposition`,
 which `verify_decomposition` checks against the original protocol through
-`protocol.canonical_form`.
+`protocol.canonical_form`.  Every move of a protocol along (V, C_i, W), in
+`to_nice_form` and `verify_decomposition`, is `protocol.apply_local_equivalence`.
 
 Each stage computes a fact once and passes it on, and holds an eigenspace
 as the orthonormal eigenvector columns of the eigendecomposition that found
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import numkit as nk
 from .numkit import ID2, PAULI_X, PAULI_Y, PAULI_Z
-from .protocol import CanonicalDecomposition, Protocol, _state_factor, canonical_form
-from .protocol import canonical_state, verify_errorless
+from .protocol import CanonicalDecomposition, Protocol, _state_factor, apply_local_equivalence
+from .protocol import canonical_form, canonical_state, verify_errorless
 
 DEFAULT_STAGE_TOL = 1e-8
 
@@ -120,7 +121,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     purification (the explicit Uhlmann step), which yields the isometry W;
     finally align each encoder's Alice marginal with the reference one by a
     basis-matching unitary C_i, splitting its descending eigenvectors at the
-    reference group sizes.
+    reference group sizes.  Item 2's product-form check reads the state of
+    the nice protocol, the gauged one moved along (1, C_i, W), after item 3.
     """
     if p.dim_a_dbl != 2:
         raise ValueError("nice form is implemented for qubit messages (d = 2)")
@@ -131,12 +133,10 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     dim_a = p.dim_a
 
     v = p.encoders[0]
-    enc_v = [u @ v.conj().T for u in p.encoders]
-    vb = np.kron(v, np.eye(b))
-    tau_v = vb @ p.tau @ vb.conj().T
+    gauged = apply_local_equivalence(p, v, [np.eye(a1)] * 4, np.eye(b))
 
     # purification into a reference system of dimension rank(tau)
-    factor = _state_factor(tau_v, tol)
+    factor = _state_factor(gauged.tau, tol)
     r0 = factor.shape[1]
     pur = factor.T.reshape(-1)  # order (R, A', A'', B)
 
@@ -176,14 +176,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     rho_vec = pad.reshape(r0, a1 * dim_b_prime)
     rho = np.einsum("ka,kb->ab", rho_vec, rho_vec.conj())
 
-    big_w = np.kron(np.eye(dim_a), w_iso)
-    tau2 = big_w @ tau_v @ big_w.conj().T
-
-    item2_resid = nk.trace_distance(tau2, canonical_state(rho, a1, dim_b_prime))
-    _check("item2", "product-form trace distance", item2_resid, tol * 10)
-
     # Alice marginal and eigenspace alignment (items 3 and 4)
-    tau_a = nk.partial_trace(tau_v, [dim_a, b], [0])
+    tau_a = nk.partial_trace(gauged.tau, [dim_a, b], [0])
     zeta = nk.partial_trace(tau_a, [a1, 2], [0])
     group_tol = math.sqrt(tol)
     groups = nk.spectral_decomposition(zeta, group_tol=group_tol, tol=1e-6)
@@ -193,8 +187,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     cols = np.hstack([basis for _, basis in groups])  # zeta's eigenvectors, descending
     support = sum(basis @ basis.conj().T for _, basis in positive)
 
-    cs, enc_nice = [np.eye(a1, dtype=complex)], [enc_v[0]]
-    for i, u in enumerate(enc_v[1:], start=1):
+    cs = [np.eye(a1, dtype=complex)]
+    for i, u in enumerate(gauged.encoders[1:], start=1):
         m_i = u @ tau_a @ u.conj().T
         zeta_i = nk.partial_trace(m_i, [a1, 2], [0])
         half_resid = np.linalg.norm(m_i - np.kron(zeta_i, ID2 / 2))
@@ -211,27 +205,23 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
             c_i += basis @ v_i[:, start:stop].conj().T
             start = stop
         cs.append(c_i)
-        enc_nice.append(np.kron(c_i, ID2) @ u)
+    nice = apply_local_equivalence(gauged, np.eye(dim_a), cs, w_iso)
+
+    item2_resid = nk.trace_distance(nice.tau, canonical_state(rho, a1, dim_b_prime))
+    _check("item2", "product-form trace distance", item2_resid, tol * 10)
 
     lifted = [(lam, np.kron(basis, ID2)) for lam, basis in positive]
     # pair (j, i)'s residual is the adjoint of pair (i, j)'s, with the same norm
     for i, j in itertools.combinations(range(4), 2):
-        prod = enc_nice[i] @ enc_nice[j].conj().T
+        prod = nice.encoders[i] @ nice.encoders[j].conj().T
         for lam, bk in lifted:
             # Tr_{A''} of P_k prod P_k, read in the eigenspace's own basis
             delta = nk.partial_trace(bk.conj().T @ prod @ bk, [bk.shape[1] // 2, 2], [0])
             what = f"encoders ({i},{j}) eigenspace {lam:.4g}: residual"
             _check("item4", what, np.linalg.norm(delta), tol * 10)
 
-    nice_protocol = Protocol(
-        dim_a_prime=a1,
-        dim_a_dbl=2,
-        dim_b=2 * dim_b_prime,
-        tau=tau2,
-        encoders=tuple(enc_nice),
-    )
     return NiceFormData(
-        protocol=nice_protocol,
+        protocol=nice,
         v=v,
         w=w_iso,
         c=tuple(cs),
@@ -363,6 +353,30 @@ def _reproject(q: np.ndarray, expected_rank: int) -> np.ndarray:
     return basis @ basis.conj().T
 
 
+def _triangle(lists, overlap_thr: float, tol: float):
+    """The first overlap triangle (ga, gb, gc) in scan order with a common
+    eigenvector, returned with that vector; raises NiceFormError('match')."""
+    for ga in lists[0]:
+        for gb in lists[1]:
+            if np.linalg.norm(ga[0] @ gb[0]) <= overlap_thr:
+                continue
+            for gc in lists[2]:
+                if (
+                    np.linalg.norm(gb[0] @ gc[0]) <= overlap_thr
+                    or np.linalg.norm(ga[0] @ gc[0]) <= overlap_thr
+                ):
+                    continue
+                try:
+                    return ga, gb, gc, common_eigenvector(ga[0], gb[0], gc[0], tol)
+                except NiceFormError:
+                    pass
+    raise NiceFormError(
+        "match",
+        "no overlap triangle with a common eigenvector remains; "
+        "tolerance misconfigured or input invalid",
+    )
+
+
 def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks:
     """Align the three encoders' blocks into rank-one pieces with orthogonal triples.
 
@@ -380,20 +394,16 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
         sgn = np.eye(a1, dtype=complex) - bf.support
         for q, r in enc_blocks:
             rank = int(round(np.trace(q).real))
-            placed = False
-            for g in groups:
-                for s in (1.0, -1.0):
-                    if np.linalg.norm(r - s * g[1]) <= merge_thr:
-                        g[0] = g[0] + q
-                        g[2] += rank
-                        sgn = sgn + s * q
-                        placed = True
-                        break
-                if placed:
-                    break
-            if not placed:
+            hit = next(((g, s) for g in groups for s in (1.0, -1.0)
+                        if np.linalg.norm(r - s * g[1]) <= merge_thr), None)
+            if hit is None:
                 groups.append([q.copy(), r, rank])
                 sgn = sgn + q
+            else:
+                g, s = hit
+                g[0] = g[0] + q
+                g[2] += rank
+                sgn = sgn + s * q
         coarse.append(groups)
         sign_ops.append(sgn)
 
@@ -401,34 +411,7 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
     k_projectors, triples = [], []
     lists = coarse
     while lists[0]:
-        found = None
-        for ga in lists[0]:
-            for gb in lists[1]:
-                if np.linalg.norm(ga[0] @ gb[0]) <= overlap_thr:
-                    continue
-                for gc in lists[2]:
-                    if (
-                        np.linalg.norm(gb[0] @ gc[0]) <= overlap_thr
-                        or np.linalg.norm(ga[0] @ gc[0]) <= overlap_thr
-                    ):
-                        continue
-                    try:
-                        vec = common_eigenvector(ga[0], gb[0], gc[0], tol)
-                    except NiceFormError:
-                        continue
-                    found = (ga, gb, gc, vec)
-                    break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            raise NiceFormError(
-                "match",
-                "no overlap triangle with a common eigenvector remains; "
-                "tolerance misconfigured or input invalid",
-            )
-        ga, gb, gc, vec = found
+        ga, gb, gc, vec = _triangle(lists, overlap_thr, tol)
         peel = np.outer(vec, vec.conj())
         k_projectors.append(peel)
         triples.append((ga[1], gb[1], gc[1]))
@@ -540,6 +523,8 @@ def verify_decomposition(
 ) -> DecompositionReport:
     """Check a decomposition against a protocol in the =_tau' sense.
 
+    p moves along (V, C_i^*, W) by `apply_local_equivalence`, which raises
+    ValueError on a wrong count or shape of the C_i or a wrong V or W shape.
     (a) (V (x) W) tau (V (x) W)^* must be rho (x) EPR;
     (b) for each i the operators (C_i^* (x) 1) U_i V^* and
         sum_r P_r (x) S_r sigma_i S_r^* must act identically on tau'.
@@ -547,20 +532,17 @@ def verify_decomposition(
     a1, d, b = p.dims
     if d != 2:
         raise ValueError("decompositions are defined for qubit messages")
+    moved = apply_local_equivalence(p, dec.v, [c_i.conj().T for c_i in dec.c], dec.w)
     canon = canonical_form(dec.rho, a1, dec.blocks)
-    vw = np.kron(dec.v, dec.w)
-    tau_p = vw @ p.tau @ vw.conj().T
-
-    state_resid = nk.trace_distance(tau_p, canon.tau)
+    state_resid = nk.trace_distance(moved.tau, canon.tau)
 
     eye_b = np.eye(canon.dim_b)
     enc_resids = []
-    for u, c_i, target in zip(p.encoders, dec.c, canon.encoders):
-        left = np.kron(c_i.conj().T, ID2) @ u @ dec.v.conj().T
+    for left, target in zip(moved.encoders, canon.encoders):
         lhs = np.kron(left, eye_b)
         rhs = np.kron(target, eye_b)
         enc_resids.append(
-            nk.trace_distance(lhs @ tau_p @ lhs.conj().T, rhs @ tau_p @ rhs.conj().T)
+            nk.trace_distance(lhs @ moved.tau @ lhs.conj().T, rhs @ moved.tau @ rhs.conj().T)
         )
 
     passed = state_resid <= tol and all(r <= tol for r in enc_resids)

@@ -369,6 +369,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "'rows'" in captured.err
 
+    @pytest.mark.parametrize("text, field", [("value\n0.5\n", "header"),
+                                             ("eigenvalue\n0.5\nabc\n", "rows")])
+    def test_malformed_esd_csv_is_usage_error(self, text, field, tmp_path, capsys):
+        csv = tmp_path / "esd.csv"
+        csv.write_text(text)
+        assert main(["random", "mp", "--esd-csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"'{field}'" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    def test_basis_element_count_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        serialize.save_basis(bases.clock_shift_basis(2), str(path))
+        doc = json.loads(path.read_text())
+        del doc["elements"][-1]
+        path.write_text(json.dumps(doc))
+        assert main(["basis", command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'elements'" in captured.err
+        assert "need 4 elements for dimension 2, got 3" in captured.err
+
     @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("inf")],
                                        [float("-inf"), 0.0], [True, False], ["1", "0"]])
     def test_non_number_basis_entry_is_usage_error(self, entry, tmp_path, capsys):

@@ -381,6 +381,37 @@ class TestLocalEquivalence:
         for a, b in zip(step.encoders, combined.encoders):
             assert np.allclose(a, b, atol=1e-12)
 
+    def test_isometry_w_matches_the_explicit_construction(self):
+        # W: B -> B' (x) B'' with dim B' = 3 > dim B / 2, as to_nice_form builds it
+        rng = np.random.default_rng(23)
+        p, _ = pr.random_scrambled_bw(rng, 2, 2, 1)
+        v, w = haar(4, rng), haar(6, rng)[:, :4]
+        cs = [haar(2, rng) for _ in range(4)]
+        q = pr.apply_local_equivalence(p, v, cs, w)
+        assert q.dims == (2, 2, 6)
+        vw = np.kron(v, w)
+        assert np.allclose(q.tau, vw @ p.tau @ vw.conj().T, atol=1e-12)
+        for c_i, u, moved in zip(cs, p.encoders, q.encoders, strict=True):
+            assert np.allclose(moved, np.kron(c_i, np.eye(2)) @ u @ v.conj().T, atol=1e-12)
+        assert pr.verify_errorless(q, 1e-9).passed
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"v": np.eye(3)}, "v must act on A: expected shape (2, 2), got (3, 3)"),
+            ({"w": np.eye(3)}, "w must map B to Bob's space: expected shape (m, 2), got (3, 3)"),
+            ({"c": [np.eye(1)] * 3}, "c must hold one correction per encoder: expected 4, got 3"),
+            ({"c": [np.eye(1)] * 2 + [np.eye(2)] * 2},
+             "c[2] must act on A': expected shape (1, 1), got (2, 2)"),
+        ],
+        ids=["v", "w", "c", "c[k]"],
+    )
+    def test_wrong_shape_or_count_names_the_argument(self, bad, message):
+        args = {"v": np.eye(2), "c": [np.eye(1)] * 4, "w": np.eye(2)}
+        with pytest.raises(ValueError) as err:
+            pr.apply_local_equivalence(pr.bennett_wiesner(), **{**args, **bad})
+        assert str(err.value) == message
+
     def test_spectra_preserved_up_to_bob_rotation(self):
         rng = np.random.default_rng(19)
         p, _ = pr.random_scrambled_bw(rng, 2, 2, 1)

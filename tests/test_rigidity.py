@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,33 @@ def one_block_protocol(a1, delta, seed, noise=0.0, b1=2):
     p = pr.apply_local_equivalence(pr.canonical_form(rho, a1, blocks), v.conj().T, cs, w.conj().T)
     tau = (1 - noise) * p.tau + noise * np.eye(p.tau.shape[0]) / p.tau.shape[0]
     return pr.Protocol(a1, 2, 2 * b1, tau, p.encoders)
+
+
+def transported(rho, a1, blocks, rng):
+    """The canonical form of (rho, blocks) under Haar V, C_i and W."""
+    v, w = haar(2 * a1, rng), haar(2 * (rho.shape[0] // a1), rng)
+    cs = [haar(a1, rng) for _ in range(4)]
+    return pr.apply_local_equivalence(pr.canonical_form(rho, a1, blocks), v, cs, w)
+
+
+def shared_eigenspace_protocol(seed):
+    """rho = (1/3) sum_r |q_r><q_r| (x) |r><r| on A' (x) B' with a1 = b1 = 3:
+    three rank-one blocks in the one eigenspace of rho^{A'} = 1/3."""
+    rng = np.random.default_rng([83, seed])
+    q = haar(3, rng)
+    projs = [np.outer(q[:, r], q[:, r].conj()) for r in range(3)]
+    rho = sum(np.kron(pp, np.diag(np.eye(3)[r])) for r, pp in enumerate(projs)) / 3
+    return transported(rho, 3, tuple((pp, haar(2, rng), 1) for pp in projs), rng)
+
+
+def one_bob_index_protocol(seed):
+    """rho = sigma (x) |0><0| on A' (x) B' with a1 = 2, b1 = 3: Bob holds
+    dimensions outside the state's support."""
+    rng = np.random.default_rng([89, seed])
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    sigma = g @ g.conj().T
+    rho = np.kron(sigma / np.trace(sigma).real, np.diag([1.0, 0.0, 0.0]))
+    return transported(rho, 2, ((np.eye(2, dtype=complex), haar(2, rng), 1),), rng)
 
 
 GAP_SWEEP = [
@@ -420,6 +449,25 @@ class TestCanonicalize:
         assert np.allclose(dec.blocks[-1][1], ID2)  # vacuous block carries S = 1
         assert rg.verify_decomposition(p, dec).passed
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocks_sharing_one_marginal_eigenspace(self, seed):
+        # match_blocks skips the triangles whose rank-one projectors miss each other
+        p = shared_eigenspace_protocol(seed)
+        assert len(rg.to_nice_form(p).eigenspaces) == 1
+        dec, rep = rg.canonicalize(p)
+        assert rep.passed and len(dec.blocks) == 3
+        assert all(round(np.trace(p_r).real) == 1 for p_r, _, _ in dec.blocks)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bob_dimensions_outside_the_support(self, seed):
+        # to_nice_form completes W past the span of Bob's vectors (rank 4 of 6)
+        p = one_bob_index_protocol(seed)
+        nf = rg.to_nice_form(p)
+        assert nf.w.shape == (6, 6) and np.linalg.matrix_rank(nf.rho) == 2
+        assert np.allclose(nf.w.conj().T @ nf.w, np.eye(6), atol=1e-10)
+        dec, rep = rg.canonicalize(p)
+        assert rep.passed
+
     def test_gauge_robustness(self):
         base_rng = np.random.default_rng(53)
         p, _ = pr.random_scrambled_bw(base_rng, 3, 2, 2)
@@ -543,6 +591,22 @@ class TestVerifyDecomposition:
             blocks=((q, haar(2, rng), sg),),
         )
         assert not rg.verify_decomposition(p, bad).passed
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_wrong_correction_count_raises(self, count):
+        p, planted = planted_protocol(2, 2, 1, seed=3)
+        bad = dataclasses.replace(planted, c=(planted.c * 2)[:count])
+        with pytest.raises(ValueError) as err:
+            rg.verify_decomposition(p, bad)
+        assert str(err.value) == f"c must hold one correction per encoder: expected 4, got {count}"
+
+    @pytest.mark.parametrize("field", ["v", "w", "c"])
+    def test_wrong_shape_raises(self, field):
+        p, planted = planted_protocol(2, 2, 1, seed=3)
+        value = {"v": np.eye(3), "w": np.eye(3), "c": planted.c[:3] + (np.eye(3),)}[field]
+        with pytest.raises(ValueError) as err:
+            rg.verify_decomposition(p, dataclasses.replace(planted, **{field: value}))
+        assert str(err.value).startswith("c[3] " if field == "c" else f"{field} ")
 
     def test_mismatched_w_fails(self):
         rng = np.random.default_rng(73)

@@ -9,7 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from superdense import randlab
+import numpy as np
+
+from superdense import protocol, randlab, rigidity
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -25,6 +27,7 @@ def test_install_then_uninstall_restores_every_layer():
     spans = load_spans()
     targets = [(importlib.import_module(f"superdense.{mod}"), attr) for mod, attr, _ in spans.LAYERS]
     originals = [getattr(module, attr) for module, attr in targets]
+    p, _ = protocol.random_scrambled_bw(np.random.default_rng(3), 2, 2, 1)
     tracer = spans.Tracer()
     try:
         tracer.install()
@@ -32,6 +35,7 @@ def test_install_then_uninstall_restores_every_layer():
             assert getattr(module, attr) is not original, f"{module.__name__}.{attr} not wrapped"
         tracer.op = 0
         randlab.distinguishability_experiment(2, 1, seed=0)
+        rigidity.canonicalize(p)
     finally:
         tracer.uninstall()
     for (module, attr), original in zip(targets, originals):
@@ -39,3 +43,6 @@ def test_install_then_uninstall_restores_every_layer():
     recorded = {name for name, *_ in tracer.spans}
     assert {"randlab.distinguishability_experiment", "randlab.random_protocol_ensemble",
             "randlab.mean_sqrt_esd", "randlab.kolmogorov_distance"} <= recorded
+    # the triangle search resolves common_eigenvector through the module global
+    assert {"rigidity.canonicalize", "rigidity.match_blocks",
+            "rigidity.common_eigenvector"} <= recorded
