@@ -3,9 +3,9 @@
 The pipeline normalizes a protocol in four stages: gauge away the first
 encoder and extract the EPR pair (`to_nice_form`), split each remaining
 encoder into projector-controlled 2x2 Hermitian unitaries
-(`block_diagonalize`), match the blocks across encoders by peeling common
-eigenvectors of overlap triangles (`match_blocks`), and rotate each matched
-triple onto (Z, X, Y) (`pauli_frame`).  `canonicalize` composes the stages
+(`block_diagonalize`), match the blocks across encoders as the products of
+their commuting projectors (`match_blocks`), and rotate each matched triple
+onto (Z, X, Y) (`pauli_frame`).  `canonicalize` composes the stages
 and tracks every Alice-side correction into a `protocol.CanonicalDecomposition`,
 which `verify_decomposition` checks against the original protocol through
 `protocol.canonical_form`.  Every move of a protocol along (V, C_i, W), in
@@ -89,7 +89,8 @@ class BlockForm:
 
 @dataclass(frozen=True)
 class MatchedBlocks:
-    """Rank-one refinement with aligned 2x2 triples (encoders 2, 3, 4)."""
+    """Coarsest common refinement of the encoders' blocks, one 2x2 triple
+    (encoders 2, 3, 4) per projector."""
 
     k_projectors: tuple[np.ndarray, ...]
     triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -343,86 +344,55 @@ def common_eigenvector(c, d, e, tol: float = DEFAULT_STAGE_TOL) -> np.ndarray:
     return vh[0].conj()
 
 
-def _reproject(q: np.ndarray, expected_rank: int) -> np.ndarray:
-    w, v = np.linalg.eigh((q + q.conj().T) / 2)
-    basis = v[:, w > 0.5]
-    if basis.shape[1] != expected_rank:
-        raise NiceFormError(
-            "match", f"deflation changed rank to {basis.shape[1]}, expected {expected_rank}"
-        )
-    return basis @ basis.conj().T
-
-
-def _triangle(lists, overlap_thr: float, tol: float):
-    """The first overlap triangle (ga, gb, gc) in scan order with a common
-    eigenvector, returned with that vector; raises NiceFormError('match')."""
-    for ga in lists[0]:
-        for gb in lists[1]:
-            if np.linalg.norm(ga[0] @ gb[0]) <= overlap_thr:
-                continue
-            for gc in lists[2]:
-                if (
-                    np.linalg.norm(gb[0] @ gc[0]) <= overlap_thr
-                    or np.linalg.norm(ga[0] @ gc[0]) <= overlap_thr
-                ):
-                    continue
-                try:
-                    return ga, gb, gc, common_eigenvector(ga[0], gb[0], gc[0], tol)
-                except NiceFormError:
-                    pass
-    raise NiceFormError(
-        "match",
-        "no overlap triangle with a common eigenvector remains; "
-        "tolerance misconfigured or input invalid",
-    )
-
-
 def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks:
-    """Align the three encoders' blocks into rank-one pieces with orthogonal triples.
+    """Align the three encoders' blocks into one refinement with a triple per block.
 
-    First merges blocks whose 2x2 factors agree up to sign (folding the
-    signs into per-encoder corrections), then repeatedly finds a triangle in
-    the overlap graph, peels off a common eigenvector, and deflates the
-    three projectors until the support is exhausted.
+    First merges each encoder's blocks whose 2x2 factors agree up to sign,
+    folding the signs into per-encoder corrections.  The merged projectors
+    of the three encoders then commute, so their coarsest common refinement
+    is the set of nonzero products Q_2 Q_3 Q_4, each with the triple
+    (R_2, R_3, R_4) of its factors.  They commute because each merged Q is a
+    sum of canonical projectors P_r: in the canonical frame an encoder is
+    sum_g S_g (x) A_g, with S_g sums of P_r and A_g traceless Hermitian
+    unitaries, A_g != +-A_h.  Any two such A_g, A_h are linearly
+    independent, so if (D (x) 1) sum_g S_g (x) A_g is Hermitian, Alice's
+    correction D is block diagonal over the S_g.  Each product keeps the
+    eigenvectors of its Hermitian part above 1/2; NiceFormError('match') is
+    raised unless every product is the projector it keeps and the kept
+    projectors sum to the support.
     """
     a1 = bf.support.shape[0]
     merge_thr = tol * math.sqrt(2.0)
-    coarse: list[list[list]] = []  # per encoder: [Q, R, rank]
+    coarse: list[list[list]] = []  # per encoder: [Q, R]
     sign_ops = []
     for enc_blocks in bf.blocks:
         groups: list[list] = []
         sgn = np.eye(a1, dtype=complex) - bf.support
         for q, r in enc_blocks:
-            rank = int(round(np.trace(q).real))
             hit = next(((g, s) for g in groups for s in (1.0, -1.0)
                         if np.linalg.norm(r - s * g[1]) <= merge_thr), None)
             if hit is None:
-                groups.append([q.copy(), r, rank])
+                groups.append([q, r])
                 sgn = sgn + q
             else:
                 g, s = hit
                 g[0] = g[0] + q
-                g[2] += rank
                 sgn = sgn + s * q
         coarse.append(groups)
         sign_ops.append(sgn)
 
-    overlap_thr = math.sqrt(tol)
     k_projectors, triples = [], []
-    lists = coarse
-    while lists[0]:
-        ga, gb, gc, vec = _triangle(lists, overlap_thr, tol)
-        peel = np.outer(vec, vec.conj())
-        k_projectors.append(peel)
-        triples.append((ga[1], gb[1], gc[1]))
-        for lst, g in zip(lists, (ga, gb, gc)):
-            g[2] -= 1
-            if g[2] == 0:
-                lst[:] = [item for item in lst if item is not g]
-            else:
-                g[0] = _reproject(g[0] - peel, g[2])
-    if lists[1] or lists[2]:
-        raise NiceFormError("match", "encoders exhausted unevenly; input invalid")
+    for (q2, r2), (q3, r3), (q4, r4) in itertools.product(*coarse):
+        prod = q2 @ q3 @ q4
+        w, v = np.linalg.eigh((prod + prod.conj().T) / 2)
+        basis = v[:, w > 0.5]
+        k_r = basis @ basis.conj().T
+        _check("match", "merged projectors' commutation defect", np.linalg.norm(prod - k_r), tol * 10)
+        if basis.shape[1]:
+            k_projectors.append(k_r)
+            triples.append((r2, r3, r4))
+    cover = np.linalg.norm(sum(k_projectors) - bf.support)
+    _check("match", "block projectors' distance from the support", cover, tol * 10)
 
     return MatchedBlocks(
         k_projectors=tuple(k_projectors),
@@ -480,7 +450,9 @@ def canonicalize(
     sign folding, and the orientation sign of the fourth encoder) are
     accumulated into the final C_i, so the decomposition satisfies
     (C_i^* (x) 1) U_i V^* =_tau' sum_r P_r (x) S_r sigma_i S_r^* with the
-    vacuous block appended on the complement of the support.
+    vacuous block appended on the complement of the support.  The P_r are
+    `match_blocks`' coarsest common refinement: a block keeps its whole rank
+    rather than splitting into rank-one pieces.
 
     Returns the decomposition with its `verify_decomposition` report at
     ``tol``; a decomposition that fails it raises NiceFormError('verify').
@@ -493,8 +465,8 @@ def canonicalize(
 
     residual = np.eye(p.dim_a_prime, dtype=complex) - nf.support  # projector on ker(rho^{A'})
     orient = residual.copy()
-    for peel, (_, sign) in zip(mb.k_projectors, frames):
-        orient += sign * peel
+    for k_r, (_, sign) in zip(mb.k_projectors, frames):
+        orient += sign * k_r
 
     cs = []
     for i in range(4):
@@ -507,7 +479,7 @@ def canonicalize(
         cs.append(total.conj().T)
 
     blocks = [
-        (peel, frame[0], frame[1]) for peel, frame in zip(mb.k_projectors, frames)
+        (k_r, frame[0], frame[1]) for k_r, frame in zip(mb.k_projectors, frames)
     ]
     if np.trace(residual).real > 0.5:
         blocks.append((residual, np.eye(2, dtype=complex), 1))
@@ -524,7 +496,8 @@ def verify_decomposition(
     """Check a decomposition against a protocol in the =_tau' sense.
 
     p moves along (V, C_i^*, W) by `apply_local_equivalence`, which raises
-    ValueError on a wrong count or shape of the C_i or a wrong V or W shape.
+    ValueError on a wrong count or shape of the C_i or a wrong V or W shape;
+    a W whose row count is not the canonical form's 2 dim B' raises too.
     (a) (V (x) W) tau (V (x) W)^* must be rho (x) EPR;
     (b) for each i the operators (C_i^* (x) 1) U_i V^* and
         sum_r P_r (x) S_r sigma_i S_r^* must act identically on tau'.
@@ -534,6 +507,9 @@ def verify_decomposition(
         raise ValueError("decompositions are defined for qubit messages")
     moved = apply_local_equivalence(p, dec.v, [c_i.conj().T for c_i in dec.c], dec.w)
     canon = canonical_form(dec.rho, a1, dec.blocks)
+    if moved.dim_b != canon.dim_b:
+        expected = (canon.dim_b, b)
+        raise ValueError(f"w must map B to B' (x) B'': expected shape {expected}, got {dec.w.shape}")
     state_resid = nk.trace_distance(moved.tau, canon.tau)
 
     eye_b = np.eye(canon.dim_b)

@@ -127,6 +127,16 @@ def test_criterion_4_rigidity_round_trip():
     )
 
 
+def test_criterion_4_blocks_are_the_planted_blocks():
+    # canonicalize returns the coarsest refinement: one block per planted block,
+    # of its rank, never a planted block split into pieces
+    for seed, a1, b1, blocks in scramble_configs(50):
+        p, planted = pr.random_scrambled_bw(np.random.default_rng([424242, seed]), a1, b1, blocks)
+        dec, _ = rg.canonicalize(p)
+        ranks = sorted(round(np.trace(p_r).real) for p_r, _, _ in dec.blocks)
+        assert ranks == sorted(round(np.trace(p_r).real) for p_r, _, _ in planted.blocks), seed
+
+
 def test_criterion_4_scrambles_equal_the_explicit_construction():
     # random_scrambled_bw transports canonical_form along (V^*, C, W^*); spelled
     # out, that is (V (x) W)^* (rho (x) EPR)(V (x) W) and (C_i (x) 1)(sum_r ...) V

@@ -330,8 +330,10 @@ class TestMatchBlocks:
         mb = rg.match_blocks(rg.block_diagonalize(nf))
         total = sum(mb.k_projectors) + np.eye(4) - nf.support
         assert np.allclose(total, np.eye(4), atol=1e-8)
-        for k in mb.k_projectors:
-            assert abs(np.trace(k).real - 1) < 1e-8  # rank-one refinement
+        # the coarsest refinement: one projector per planted block, of its rank
+        ranks = sorted(np.trace(k).real for k in mb.k_projectors)
+        planted_ranks = sorted(np.trace(q).real for q, _, _ in planted.blocks)
+        assert np.allclose(ranks, planted_ranks, atol=1e-8)
 
     def test_triples_orthogonal(self):
         p, _ = planted_protocol(4, 2, 2, seed=6)
@@ -341,8 +343,8 @@ class TestMatchBlocks:
             assert abs(nk.hs_inner(r2, r4)) < 1e-8
             assert abs(nk.hs_inner(r3, r4)) < 1e-8
 
-    def test_deflation_keeps_projectors(self):
-        # two blocks sharing one eigenspace: deflation must peel rank one at a time
+    def test_blocks_keep_their_rank(self):
+        # a rank-two block in one eigenspace stays one projector of rank two
         rng = np.random.default_rng(31)
         proj = np.diag([1.0, 1.0, 0.0]).astype(complex)
         comp = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -352,9 +354,24 @@ class TestMatchBlocks:
         ).astype(complex)
         p = block_protocol([proj, comp], [haar(2, rng), haar(2, rng)], rho)
         mb = rg.match_blocks(rg.block_diagonalize(rg.to_nice_form(p)))
-        assert len(mb.k_projectors) == 3
+        assert sorted(round(np.trace(k).real) for k in mb.k_projectors) == [1, 2]
         for k in mb.k_projectors:
             assert is_projector(k, 1e-8)
+
+    def test_noncommuting_encoders_raise(self):
+        # encoder 3's projectors rotated off encoder 2's: their products are not projectors
+        proj = np.diag([1.0, 0.0]).astype(complex)
+        rot = haar(2, np.random.default_rng(47))
+        turned = rot @ proj @ rot.conj().T
+        layout = ((proj, PAULI_Z, PAULI_X), (turned, PAULI_X, PAULI_Y), (proj, PAULI_Y, PAULI_Z))
+        bf = rg.BlockForm(
+            blocks=tuple(((q, r), (ID2 - q, r_perp)) for q, r, r_perp in layout),
+            corrections=(np.eye(2, dtype=complex),) * 3,
+            support=np.eye(2, dtype=complex),
+        )
+        with pytest.raises(rg.NiceFormError) as err:
+            rg.match_blocks(bf)
+        assert err.value.item == "match"
 
 
 class TestPauliFrame:
@@ -607,6 +624,13 @@ class TestVerifyDecomposition:
         with pytest.raises(ValueError) as err:
             rg.verify_decomposition(p, dataclasses.replace(planted, **{field: value}))
         assert str(err.value).startswith("c[3] " if field == "c" else f"{field} ")
+
+    def test_w_with_the_wrong_row_count_raises(self):
+        p, planted = planted_protocol(2, 2, 1, seed=3)
+        w = haar(6, np.random.default_rng(3))[:, :4]  # an isometry B -> C^6
+        with pytest.raises(ValueError) as err:
+            rg.verify_decomposition(p, dataclasses.replace(planted, w=w))
+        assert str(err.value) == "w must map B to B' (x) B'': expected shape (4, 4), got (6, 4)"
 
     def test_mismatched_w_fails(self):
         rng = np.random.default_rng(73)

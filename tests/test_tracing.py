@@ -43,6 +43,6 @@ def test_install_then_uninstall_restores_every_layer():
     recorded = {name for name, *_ in tracer.spans}
     assert {"randlab.distinguishability_experiment", "randlab.random_protocol_ensemble",
             "randlab.mean_sqrt_esd", "randlab.kolmogorov_distance"} <= recorded
-    # the triangle search resolves common_eigenvector through the module global
+    # canonicalize resolves its stages through the module globals
     assert {"rigidity.canonicalize", "rigidity.match_blocks",
-            "rigidity.common_eigenvector"} <= recorded
+            "rigidity.pauli_frame"} <= recorded
