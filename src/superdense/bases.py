@@ -11,6 +11,7 @@ unitary) equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,7 @@ KIND_EIGENVALUE_RATIO = "eigenvalue-ratio"
 KIND_DISTINCT_COUNT = "distinct-count"
 KIND_PROJECTIVE = "projective-noncommutativity"
 
-# Complex entries in one block of pair products of the certificate scan.
+# Complex entries in one span of pair products of the certificate scan.
 # Blocks of 2^16 entries and more ran slower at d >= 7: their fresh stacks
 # page-fault and miss the cache.
 _PAIR_BLOCK = 2**13
@@ -43,6 +44,13 @@ class UnitaryBasis:
             )
         if self.labels is not None and len(self.labels) != len(self.elements):
             raise ValueError("labels length must match element count")
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The elements as one read-only (d^2, d, d) array, stacked once."""
+        e = np.stack(self.elements)
+        e.flags.writeable = False
+        return e
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,7 @@ def verify_orthogonal_unitary_basis(b: UnitaryBasis, tol: float = nk.DEFAULT_TOL
     """Check element count, unitarity, and pairwise HS orthogonality."""
     d = b.d
     count_ok = len(b.elements) == d * d
-    e = np.stack(b.elements)
+    e = b.stack
     worst = np.abs(e.conj().transpose(0, 2, 1) @ e - np.eye(d)).max(axis=(1, 2))
     unit_viol = float(worst.max(initial=0.0))
     flat = e.reshape(len(e), -1)
@@ -273,16 +281,21 @@ def _scalar_defects(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
 
 
-def _pair_spans(n: int, d: int) -> list[tuple[int, int]]:
-    """Blocks [lo, hi) of the pairs (i, j), i < j, in row-major order.
+def _pair_spans(n: int, d: int, first: int) -> list[tuple[int, int]]:
+    """Spans [lo, hi) of the pairs (i, j), i < j, in row-major order.
 
-    Row 0's pairs come first and are blocked on their own.  No block of
-    more than one pair holds more than _PAIR_BLOCK complex entries of d x d
-    products.
+    The first span ends at pair `first`, and blocks of consecutive pairs
+    follow.  No span of more than one pair holds more than _PAIR_BLOCK
+    complex entries of d x d products.
     """
     step = max(1, _PAIR_BLOCK // (d * d))
-    ends = ((0, n - 1), (n - 1, n * (n - 1) // 2))
-    return [(lo, min(lo + step, hi)) for start, hi in ends for lo in range(start, hi, step)]
+    total = n * (n - 1) // 2
+    cuts = (0, min(first, total), total)
+    return [
+        (lo, min(lo + step, hi))
+        for start, hi in zip(cuts, cuts[1:])
+        for lo in range(start, hi, step)
+    ]
 
 
 def certify_not_clock_shift(
@@ -305,26 +318,31 @@ def certify_not_clock_shift(
 
     T3 (projective-noncommutativity): the anchored products G_i = U_i U_0*
     of an equivalent basis are phase-conjugates of clock/shift elements and
-    hence commute up to a phase; a pair with a commutator defect rules
-    equivalence out.
+    hence commute up to a phase; a pair whose commutator defect
+    ||G_i G_j G_i* G_j* - c I||_F exceeds tol*d rules equivalence out.
 
-    Pairs (i, j), i < j, are scanned in row-major order, in blocks of
-    consecutive pairs: row 0's pairs first, then the later rows', each block
-    holding at most _PAIR_BLOCK complex entries of products.  Each witness is
-    the first pair in that order (for T2 and T3, the first strict maximum;
-    argmax over a block returns the first).  The T1/T2 scan stops between
-    blocks once T1 has a witness and some pair reaches d distinct
-    eigenvalues, since no later pair can change either result.  Each block
-    forms its products A* B pair by pair in one stacked matmul, so every
-    statistic has the bits of the one-pair computation.
+    Pairs (i, j), i < j, are scanned in row-major order, in spans of
+    consecutive pairs (_pair_spans), no span of more than one pair holding
+    more than _PAIR_BLOCK complex entries of products.  The first span is
+    where a test can stop early: for T1/T2 a head of row 0's first d pairs,
+    for T3 rows 0 and 1.  Blocks follow it.  The layouts depend on n and d
+    alone.  The T1 and T3 witnesses are the first pair in that order that
+    fires; the T2 witness is the first strict maximum (argmax over a span
+    returns the first).  Each test stops at the span that settles it: T3 at
+    the span holding its witness, and the T1/T2 scan between spans once T1
+    has a witness and some pair reaches d distinct eigenvalues, since no
+    later pair can change any of these results.  On the matching bases, T1
+    and T2 are settled by the head and T3 fires in row 1.  Each span forms
+    its products pair by pair in one stacked matmul, so every statistic has
+    the bits of the one-pair computation.
 
     T2 is sound only while its threshold max(10 tol, 1e-7) stays below the
     spacing 2 sin(pi/d) of the clock's eigenvalues; a tol whose threshold
     reaches sin(pi/d) is a ValueError.
 
-    Every block after row 0 is screened before any eigensolve, with one
+    Every span after the head is screened before any eigensolve, with one
     matrix power per pair.  Let k be the running maximum distinct count at
-    the block's start (k = d once T2 is settled), M = A* B, P = M^k,
+    the span's start (k = d once T2 is settled), M = A* B, P = M^k,
     c = Tr P / d and s = ||P - c I||_F.  Every eigenvalue of P is within s of
     c (spectral radius <= norm).  Both bounds below add a rounding allowance
     of 4 d^2 eps and need |c| > s; no unitarity of M is assumed.
@@ -351,12 +369,12 @@ def certify_not_clock_shift(
 
     A pair is cleared when every test still open passes its bound, and only
     the uncleared pairs go to the eigensolver.  While T1 is open and k does
-    not divide d a block is not screened; no basis that this package or its
+    not divide d a span is not screened; no basis that this package or its
     tests build reaches that state.  A cleared pair can neither fire T1 nor
     raise T2 above the k it was screened with, and that k is at most the
-    running count, so the first witness among the kept pairs of a block is
-    the block's first witness, and the certificates (kind, witness and
-    repr(witness_value)) are those of the full eigenvalue scan.
+    running count, so the first witness among the kept pairs of a span is
+    the span's first witness, and the T1 and T2 certificates (kind, witness
+    and repr(witness_value)) are those of the full eigenvalue scan.
 
     An empty result is NOT a proof of equivalence.
     """
@@ -374,11 +392,10 @@ def certify_not_clock_shift(
         raise InvalidBasisError(
             "certify_not_clock_shift requires a valid orthogonal unitary basis"
         )
-    n = len(b.elements)
-    e = np.stack(b.elements)
+    e = b.stack
+    n = len(e)
     ec = e.conj()
     rows, cols = np.triu_indices(n, 1)
-    spans = _pair_spans(n, d)
     certificates: list[NonEquivalenceCertificate] = []
 
     ratio_witness = None
@@ -386,13 +403,13 @@ def certify_not_clock_shift(
     max_distinct_witness = (0, 0)
     allowance = 4 * d * d * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo, hi in spans:
+        for lo, hi in _pair_spans(n, d, d):
             if ratio_witness is not None and max_distinct == d:
                 break
             ii, jj = rows[lo:hi], cols[lo:hi]
             m = ec[ii].transpose(0, 2, 1) @ e[jj]
             k = max_distinct
-            if lo >= n - 1 and (ratio_witness is not None or d % k == 0):
+            if lo > 0 and (ratio_witness is not None or d % k == 0):
                 c, s = _scalar_defects(np.linalg.matrix_power(m, k))
                 gap = np.maximum(np.abs(c) - s, 0.0)
                 clear = np.ones(len(m), dtype=bool)
@@ -437,21 +454,21 @@ def certify_not_clock_shift(
 
     g = e @ e[0].conj().T
     gc = g.conj()
-    comm_witness = None
-    worst = 0.0
-    for lo, hi in spans:
+    for lo, hi in _pair_spans(n, d, 2 * n - 3):
         ii, jj = rows[lo:hi], cols[lo:hi]
         comm = g[ii] @ g[jj] @ gc[ii].transpose(0, 2, 1) @ gc[jj].transpose(0, 2, 1)
         defects = _scalar_defects(comm)[1]
-        a = int(np.argmax(defects))
-        if defects[a] > worst:
-            worst, comm_witness = float(defects[a]), (0, int(ii[a]), int(jj[a]))
-    if worst > tol * d:
-        certificates.append(
-            NonEquivalenceCertificate(
-                kind=KIND_PROJECTIVE, witness=comm_witness, witness_value=worst
+        over = np.flatnonzero(defects > tol * d)
+        if over.size:
+            a = over[0]
+            certificates.append(
+                NonEquivalenceCertificate(
+                    kind=KIND_PROJECTIVE,
+                    witness=(0, int(ii[a]), int(jj[a])),
+                    witness_value=float(defects[a]),
+                )
             )
-        )
+            break
     return certificates
 
 

@@ -158,20 +158,48 @@ def save_basis(b: UnitaryBasis, path: str | None) -> None:
     emit(doc, path)
 
 
+def _square_stack(data: list, d: int) -> np.ndarray | None:
+    """The matrices of `data` as one (len(data), d, d) array, read in one
+    pass over their flattened entries, or None unless every one is a d x d
+    complex matrix that matrix_from_json would accept.
+
+    Only lists hold other values here: JSON's other containers iterate as
+    strings, which fail the type set of the entries.
+    """
+    try:
+        if any(len(m) != d for m in data):
+            return None
+        rows = list(itertools.chain.from_iterable(data))
+        if set(map(len, rows)) != {d}:
+            return None
+        pairs = list(itertools.chain.from_iterable(rows))
+        if set(map(len, pairs)) != {2}:
+            return None
+        parts = list(itertools.chain.from_iterable(pairs))
+        if not set(map(type, parts)) <= {int, float}:
+            return None
+        m = np.array(parts, dtype=float).view(complex).reshape(len(data), d, d)
+    except (TypeError, OverflowError):
+        return None
+    return m if np.isfinite(m).all() else None
+
+
 def load_basis(path: str) -> UnitaryBasis:
     doc = _load_json(path)
     d = _require(doc, "d", path)
     if not _is_positive_int(d):
         raise SerializationError(path, "d", f"expected a positive integer, got {d!r}")
-    elements = [
-        matrix_from_json(e, path, f"elements[{k}]")
-        for k, e in enumerate(_require_list(doc, "elements", path))
-    ]
-    for k, e in enumerate(elements):
-        if e.shape != (d, d):
-            raise SerializationError(
-                path, f"elements[{k}]", f"shape {e.shape} is not {d}x{d}"
-            )
+    data = _require_list(doc, "elements", path)
+    stack = _square_stack(data, d)
+    if stack is not None:
+        elements = list(stack)
+    else:  # the per-element reader names the first bad element
+        elements = [matrix_from_json(e, path, f"elements[{k}]") for k, e in enumerate(data)]
+        for k, e in enumerate(elements):
+            if e.shape != (d, d):
+                raise SerializationError(
+                    path, f"elements[{k}]", f"shape {e.shape} is not {d}x{d}"
+                )
     labels = doc.get("labels")
     if labels is not None and not (
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)

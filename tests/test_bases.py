@@ -44,21 +44,29 @@ def reference_certify(b, tol=nk.DEFAULT_TOL):
     if max_distinct < d:
         out.append((bases.KIND_DISTINCT_COUNT, max_distinct_witness, max_distinct))
 
-    anchor = b.elements[0].conj().T
-    products = [e @ anchor for e in b.elements]
-    eye = np.eye(d)
-    comm_witness, worst = None, 0.0
-    for i in range(n):
-        gi = products[i]
-        for j in range(i + 1, n):
-            gj = products[j]
-            comm = gi @ gj @ gi.conj().T @ gj.conj().T
-            defect = float(np.linalg.norm(comm - (np.trace(comm) / d) * eye))
-            if defect > worst:
-                worst, comm_witness = defect, (0, i, j)
-    if worst > tol * d:
-        out.append((bases.KIND_PROJECTIVE, comm_witness, worst))
+    comm_witness = projective_witness(b, tol)
+    if comm_witness is not None:
+        out.append((bases.KIND_PROJECTIVE, *comm_witness))
     return [(kind, witness, repr(value)) for kind, witness, value in out]
+
+
+def commutator_defect(b, i, j):
+    """The one-pair commutator defect of the anchored products G_i, G_j."""
+    anchor = b.elements[0].conj().T
+    gi, gj = b.elements[i] @ anchor, b.elements[j] @ anchor
+    comm = gi @ gj @ gi.conj().T @ gj.conj().T
+    return float(np.linalg.norm(comm - (np.trace(comm) / b.d) * np.eye(b.d)))
+
+
+def projective_witness(b, tol=nk.DEFAULT_TOL):
+    """The first pair (0, i, j) in row-major order whose defect exceeds tol*d, with that defect."""
+    n = len(b.elements)
+    for i in range(n):
+        for j in range(i + 1, n):
+            defect = commutator_defect(b, i, j)
+            if defect > tol * b.d:
+                return (0, i, j), defect
+    return None
 
 
 def reference_unitarity_violation(b):
@@ -113,6 +121,48 @@ def twisted_pauli_tensor(theta):
 def pair_index(n, i, j):
     """Position of the pair (i, j), i < j, in the row-major scan of n elements."""
     return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
+
+
+# Roles of the elements of hub_basis() in its eigenvalue-ratio test
+HUBS, LEAVES, QUIET = (1, 3), (0, 2, 8, 9, 10, 11), (4, 5, 6, 7, 12, 13, 14, 15)
+
+
+def hub_basis():
+    """Clock/shift-4 with Z and Z^3 right-multiplied by diag(1, e^{i pi/3}, 1, e^{i pi/3}).
+
+    Still an orthogonal unitary basis: the twisted rows of the clock stay
+    orthogonal to the untwisted ones.  The eigenvalue-ratio test fires on
+    exactly the pairs of a hub and a leaf; the quiet elements fire with none.
+    """
+    twist = np.diag(np.exp(1j * np.pi / 3 * np.array([0, 1, 0, 1])))
+    cs = bases.clock_shift_basis(4)
+    return bases.UnitaryBasis(d=4, elements=tuple(
+        e @ twist if k in HUBS else e for k, e in enumerate(cs.elements)
+    ))
+
+
+def ratio_witness_at(i, j):
+    """hub_basis() reordered so that the eigenvalue-ratio test first fires at (i, j).
+
+    Quiet elements take slots 0 to i - 1, a leaf slot i, the hubs slots j and
+    j + 1, and the rest fill the other slots in order.  Every leaf fires with
+    both hubs, so no pair (i, 15) can be the first witness.
+    """
+    assert i <= len(QUIET) and i < j < 15
+    order = [None] * 16
+    order[:i] = QUIET[:i]
+    order[i], order[j], order[j + 1] = LEAVES[0], *HUBS
+    rest = iter(k for k in range(16) if k not in order)
+    order = [next(rest) if k is None else k for k in order]
+    elements = hub_basis().elements
+    return bases.UnitaryBasis(d=4, elements=tuple(elements[k] for k in order))
+
+
+def projective_bases():
+    """The battery's bases on which the projective-noncommutativity test fires."""
+    out = [(f"matching-{d}", bases.matching_basis(d)) for d in range(5, 9)]
+    out.append(("werner3", bases.werner3_basis(np.exp(1j * np.pi / 3))))
+    return out
 
 
 def tensor_bases():
@@ -438,6 +488,42 @@ class TestCertify:
             bases.certify_not_clock_shift(b)
 
 
+class TestProjectiveWitness:
+    """T3 reports the first pair in scan order over tol*d and stops at its span."""
+
+    @pytest.mark.parametrize("b", [pytest.param(b, id=name) for name, b in projective_bases()])
+    def test_first_pair_over_tol(self, b):
+        moved = [random_equivalence(b, np.random.default_rng([s, 29])) for s in range(3)]
+        for basis in [b, *moved]:
+            certs = bases.certify_not_clock_shift(basis)
+            fired = [c for c in certs if c.kind == bases.KIND_PROJECTIVE]
+            assert len(fired) == 1
+            witness, _ = projective_witness(basis)
+            assert fired[0].witness == witness
+            assert repr(fired[0].witness_value) == repr(commutator_defect(basis, *witness[1:]))
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_matching_scan_stops_at_the_witness_span(self, monkeypatch, d):
+        # T1 and T2 settle on the head, before any screen, so every defect
+        # stack is T3's: one, of rows 0 and 1, which holds the first witness
+        b = bases.matching_basis(d)
+        n = d * d
+        sizes = []
+        defects = bases._scalar_defects
+
+        def counting(a):
+            sizes.append(len(a))
+            return defects(a)
+
+        monkeypatch.setattr(bases, "_scalar_defects", counting)
+        certs = bases.certify_not_clock_shift(b)
+        monkeypatch.undo()
+        (_, i, _), _ = projective_witness(b)
+        assert i == 1
+        assert sizes == [2 * n - 3]
+        assert certificate_list(certs) == reference_certify(b)
+
+
 class TestCertifyMatchesReference:
     """The block scan returns exactly what the per-pair loop returned."""
 
@@ -512,23 +598,87 @@ class TestCertifyMatchesReference:
         got = certificate_list(bases.certify_not_clock_shift(moved, tol))
         assert got == reference_certify(moved, tol)
 
+    @pytest.mark.parametrize("block", [None, 2**9, 5 * 16])
+    def test_spans_cover_every_pair_once_in_order(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(bases, "_PAIR_BLOCK", block)
+        for d in range(2, 13):
+            step = max(1, bases._PAIR_BLOCK // (d * d))
+            for n in range(4, 145):
+                total = n * (n - 1) // 2
+                # the T1/T2 head of row 0's first d pairs, and T3's rows 0 and 1
+                for first in (d, 2 * n - 3):
+                    spans = bases._pair_spans(n, d, first)
+                    assert spans[0][0] == 0 and spans[-1][1] == total
+                    assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+                    assert all(0 < hi - lo <= step for lo, hi in spans)
+                    assert min(first, total) in {hi for _, hi in spans}
+
+    def test_span_kinds(self):
+        # clock/shift-8, 128 pairs a block: T1/T2 take a head of 8 pairs, T3 rows 0
+        # and 1 (125 pairs), then full blocks and a short last one
+        head = bases._pair_spans(64, 8, 8)
+        assert head[:3] == [(0, 8), (8, 136), (136, 264)]
+        assert head[-1] == (1928, 2016) and len(head) == 17
+        rows01 = bases._pair_spans(64, 8, 2 * 64 - 3)
+        assert rows01[:2] == [(0, 125), (125, 253)]
+        assert rows01[-1] == (1917, 2016) and len(rows01) == 16
+
+    @pytest.mark.parametrize(
+        "pair,block",
+        [
+            pytest.param((0, 1), None, id="head-first"),
+            pytest.param((0, 4), None, id="head-last"),
+            pytest.param((0, 5), None, id="first-block-first"),
+            pytest.param((0, 9), 5 * 16, id="first-block-last"),
+            pytest.param((1, 6), 5 * 16, id="full-block-first"),
+            pytest.param((1, 10), 5 * 16, id="full-block-last"),
+        ],
+    )
+    def test_ratio_witness_at_a_span_edge(self, monkeypatch, pair, block):
+        # T1/T2 spans of 16 elements: the head (0, 4), then one block (4, 120); with
+        # 5 pairs a block, (4, 9), (9, 14), (14, 19), (19, 24), ...  Every leaf fires
+        # with both hubs, so the witness cannot be (i, 15) (ratio_witness_at): the
+        # full block (19, 24) = (1, 6) .. (1, 10) stands for the others.
+        if block is not None:
+            monkeypatch.setattr(bases, "_PAIR_BLOCK", block)
+        k = pair_index(16, *pair)
+        assert any(k in (lo, hi - 1) for lo, hi in bases._pair_spans(16, 4, 4))
+        b = ratio_witness_at(*pair)
+        assert bases.verify_orthogonal_unitary_basis(b).passed
+        certs = bases.certify_not_clock_shift(b)
+        assert certs[0].kind == bases.KIND_EIGENVALUE_RATIO and certs[0].witness == pair
+        assert certificate_list(certs) == reference_certify(b)
+        moved = random_equivalence(b, np.random.default_rng([k, 17]))
+        assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
+
     @pytest.mark.parametrize("place", ["first", "last"])
     @pytest.mark.parametrize("d", [4, 6])
     def test_firing_pair_at_a_block_edge(self, monkeypatch, d, place):
-        # blocks after row 0 start at pair n - 1; size them so that the
+        # T1/T2 blocks start after the head, at pair d; size them so that the
         # eigenvalue-ratio witness (d, 3d) opens or closes one
         n = d * d
-        offset = pair_index(n, d, 3 * d) - (n - 1)
+        offset = pair_index(n, d, 3 * d) - d
         step = offset if place == "first" else offset + 1
         monkeypatch.setattr(bases, "_PAIR_BLOCK", step * d * d)
-        start = n - 1 + (offset if place == "first" else 0)
-        assert (start, start + step) in bases._pair_spans(n, d)
+        start = d + (offset if place == "first" else 0)
+        assert (start, start + step) in bases._pair_spans(n, d, d)
         b = twisted_clock_shift(d)
         certs = bases.certify_not_clock_shift(b)
         assert certs[0].witness == (d, 3 * d)
         assert certificate_list(certs) == reference_certify(b)
         moved = random_equivalence(b, np.random.default_rng([d, 17]))
         assert certificate_list(bases.certify_not_clock_shift(moved)) == reference_certify(moved)
+
+    def test_hub_basis_roles(self):
+        e = hub_basis().elements
+        fires = set()
+        for i in range(16):
+            for j in range(i + 1, 16):
+                w = np.linalg.eigvals(e[i].conj().T @ e[j])
+                if np.any(np.abs(np.divide.outer(w, w) ** 4 - 1) > 4 * nk.DEFAULT_TOL):
+                    fires.add((i, j))
+        assert fires == {tuple(sorted((h, leaf))) for h in HUBS for leaf in LEAVES}
 
     @pytest.mark.parametrize("block", [None, 2**9])
     @pytest.mark.parametrize(
@@ -587,14 +737,15 @@ class TestCertifyMatchesReference:
         ],
     )
     def test_eigenvalue_scan_stops_once_settled(self, monkeypatch, b, rows):
-        # Each call is one block of pairs; row 0 of every basis here fits one
-        # block.  Matching bases settle T1 and T2 on row 0.  Clock/shift settles
-        # T2 on row 0, and the d-th-power screen clears every later pair; in the
-        # twisted basis only the block holding row d keeps pairs, those where T1
-        # fires.  Pauli tensors and cs3xcs3 stop at k = 2 and 3 distinct
-        # eigenvalues on row 0, and every later pair has a scalar k-th power, so
-        # the k-th-power screen clears it.  The twisted Pauli tensor keeps only
-        # row 2's pairs where T1 fires and T2 settles, all in one block.
+        # Each call is one span of pairs.  Matching bases settle T1 and T2 on
+        # row 0's head of d pairs.  Clock/shift settles T2 on the head, and the
+        # d-th-power screen clears every later pair, row 0's tail included; in
+        # the twisted basis only the block holding row d keeps pairs, those
+        # where T1 fires.  Pauli tensors and cs3xcs3 stop at k = 2 and 3
+        # distinct eigenvalues on the head, and every later pair has a scalar
+        # k-th power, so the k-th-power screen clears it.  The twisted Pauli
+        # tensor keeps only row 2's pairs where T1 fires and T2 settles, all
+        # in one block.
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -605,5 +756,5 @@ class TestCertifyMatchesReference:
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         certs = bases.certify_not_clock_shift(b)
         monkeypatch.undo()
-        assert len(calls) == rows
+        assert len(calls) == rows and calls[0] == (b.d, b.d, b.d)  # the head: d pairs
         assert certificate_list(certs) == reference_certify(b)

@@ -461,6 +461,88 @@ class TestExitCodes:
         assert captured.err.startswith("error: eigenvalue sum differs from the Gram trace")
 
 
+def _set_entry(value):
+    def edit(element):
+        element[1][1] = value
+    return edit
+
+
+def _drop_last_entry(element):
+    del element[1][2]
+
+
+def _crop_to_2x2(element):
+    element[:] = [row[:2] for row in element[:2]]
+
+
+class TestBasisLoaderErrors:
+    """`load_basis` reads all elements in one pass and falls back to the
+    per-element reader on a bad one; the message is the per-element one."""
+
+    # the detail each message carried before the one-pass reader
+    CASES = {
+        "bool": (_set_entry([True, False]),
+                 "not a valid complex matrix: entries must be JSON numbers"),
+        "string": (_set_entry(["1", "0"]),
+                   "not a valid complex matrix: entries must be JSON numbers"),
+        "nan": (_set_entry([float("nan"), 0.0]),
+                "not a valid complex matrix: entries must be finite, not NaN or Infinity"),
+        "inf": (_set_entry([0.0, float("inf")]),
+                "not a valid complex matrix: entries must be finite, not NaN or Infinity"),
+        "-inf": (_set_entry([float("-inf"), 0.0]),
+                 "not a valid complex matrix: entries must be finite, not NaN or Infinity"),
+        "ragged": (_drop_last_entry, "not a valid complex matrix: ragged rows"),
+        "triple": (_set_entry([1.0, 0.0, 0.0]),
+                   "not a valid complex matrix: entries must be [re, im] pairs"),
+        "single": (_set_entry([1.0]), "not a valid complex matrix: entries must be [re, im] pairs"),
+        "shape": (_crop_to_2x2, "shape (2, 2) is not 3x3"),
+    }
+
+    @staticmethod
+    def write(tmp_path, edits):
+        path = tmp_path / "b.json"
+        serialize.save_basis(bases.clock_shift_basis(3), str(path))
+        doc = json.loads(read(path))
+        for k, edit in edits:
+            edit(doc["elements"][k])
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity, as Python's json allows
+        return path
+
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_message_names_the_element(self, case, k, command, tmp_path, capsys):
+        edit, detail = self.CASES[case]
+        path = self.write(tmp_path, [(k, edit)])
+        assert main(["basis", command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: field 'elements[{k}]': {detail}\n"
+
+    def test_matrix_error_is_reported_before_an_earlier_shape_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, [(2, _crop_to_2x2), (6, _set_entry([float("nan"), 0.0]))])
+        assert main(["basis", "certify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: field 'elements[6]': "
+            "not a valid complex matrix: entries must be finite, not NaN or Infinity\n"
+        )
+
+    def test_one_pass_matches_the_per_element_reader(self, tmp_path):
+        # integer entries and negative zeros come through as the per-element reader reads them
+        path = tmp_path / "b.json"
+        b = bases.matching_basis(5)
+        serialize.save_basis(b, str(path))
+        doc = json.loads(read(path))
+        doc["elements"][3][0][0] = [1, 0]
+        doc["elements"][7][2][4] = [-0.0, -0.0]
+        path.write_text(json.dumps(doc))
+        loaded = serialize.load_basis(str(path))
+        assert loaded.labels == b.labels
+        for k, e in enumerate(doc["elements"]):
+            ref = serialize.matrix_from_json(e, str(path), f"elements[{k}]")
+            assert ref.tobytes() == loaded.elements[k].tobytes()
+
+
 class TestParserReuse:
     def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
         proto, out = str(tmp_path / "p.json"), tmp_path / "dec.json"
