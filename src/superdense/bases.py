@@ -103,7 +103,7 @@ def tensor_product_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     elements, labels = [], []
     for i, e1 in enumerate(b1.elements):
         for j, e2 in enumerate(b2.elements):
-            elements.append(np.kron(e1, e2))
+            elements.append(nk.tensor(e1, e2))
             l1 = b1.labels[i] if b1.labels else str(i)
             l2 = b2.labels[j] if b2.labels else str(j)
             labels.append(f"({l1})x({l2})")

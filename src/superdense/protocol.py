@@ -176,7 +176,7 @@ def canonical_form(rho: np.ndarray, dim_a_prime: int, blocks) -> Protocol:
     for sigma in nk.PAULIS:
         u = np.zeros((2 * a1, 2 * a1), dtype=complex)
         for p_r, s_r, _sign in blocks:
-            u += np.kron(p_r, s_r @ sigma @ s_r.conj().T)
+            u += nk.tensor(p_r, s_r @ sigma @ s_r.conj().T)
         encoders.append(u)
     return Protocol(a1, 2, 2 * b1, canonical_state(rho, a1, b1), tuple(encoders))
 
@@ -332,7 +332,7 @@ def apply_local_equivalence(p: Protocol, v, c, w) -> Protocol:
     n = len(p.encoders)
     if len(c) != n:
         raise ValueError(f"c must hold one correction per encoder: expected {n}, got {len(c)}")
-    vw = np.kron(v, w)
+    vw = nk.tensor(v, w)
     tau = vw @ p.tau @ vw.conj().T
     eye_d = np.eye(d)
     encoders = []
@@ -340,7 +340,7 @@ def apply_local_equivalence(p: Protocol, v, c, w) -> Protocol:
         ci = np.asarray(ci, dtype=complex)
         if ci.shape != (a1, a1):
             raise ValueError(f"c[{k}] must act on A': expected shape {(a1, a1)}, got {ci.shape}")
-        encoders.append(np.kron(ci, eye_d) @ u @ v.conj().T)
+        encoders.append(nk.tensor(ci, eye_d) @ u @ v.conj().T)
     return Protocol(a1, d, w.shape[0], tau, tuple(encoders))
 
 
@@ -388,7 +388,7 @@ def random_scrambled_bw(
         g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         small = g @ g.conj().T
         small /= np.trace(small).real
-        embed = np.kron(qa, eb)
+        embed = nk.tensor(qa, eb)
         rho += weights[r] * (embed @ small @ embed.conj().T)
         a_off += a_sizes[r]
         b_off += b_sizes[r]

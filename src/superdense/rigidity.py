@@ -145,7 +145,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     t_mat = pur.reshape(r0 * a1 * 2, b)
     theta = t_mat @ t_mat.conj().T
     rho_ra = nk.partial_trace(theta, [r0 * a1, 2], [0])
-    factor_resid = np.linalg.norm(theta - np.kron(rho_ra, ID2 / 2))
+    factor_resid = np.linalg.norm(theta - nk.tensor(rho_ra, ID2 / 2))
     _check("item2", "Tr_B factorization residual", factor_resid, tol * 10)
 
     # Schmidt-vector matching: Bob vectors in the eigenbasis of rho^{RA'}
@@ -192,7 +192,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     for i, u in enumerate(gauged.encoders[1:], start=1):
         m_i = u @ tau_a @ u.conj().T
         zeta_i = nk.partial_trace(m_i, [a1, 2], [0])
-        half_resid = np.linalg.norm(m_i - np.kron(zeta_i, ID2 / 2))
+        half_resid = np.linalg.norm(m_i - nk.tensor(zeta_i, ID2 / 2))
         _check("item3", f"encoder {i}: marginal factorization residual", half_resid, tol * 10)
         w_i, v_i = np.linalg.eigh((zeta_i + zeta_i.conj().T) / 2)
         w_i, v_i = w_i[::-1], v_i[:, ::-1]
@@ -211,7 +211,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     item2_resid = nk.trace_distance(nice.tau, canonical_state(rho, a1, dim_b_prime))
     _check("item2", "product-form trace distance", item2_resid, tol * 10)
 
-    lifted = [(lam, np.kron(basis, ID2)) for lam, basis in positive]
+    lifted = [(lam, nk.tensor(basis, ID2)) for lam, basis in positive]
     # pair (j, i)'s residual is the adjoint of pair (i, j)'s, with the same norm
     for i, j in itertools.combinations(range(4), 2):
         prod = nice.encoders[i] @ nice.encoders[j].conj().T
@@ -235,7 +235,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
 def _restricted_block_split(encoder: np.ndarray, basis: np.ndarray, tol: float):
     """Restrict an encoder to one eigenspace and return its qubit blocks F,G,H."""
     m = basis.shape[1]
-    basis2 = np.kron(basis, ID2)
+    basis2 = nk.tensor(basis, ID2)
     mat = basis2.conj().T @ encoder @ basis2
     unit_resid = np.linalg.norm(mat @ mat.conj().T - np.eye(2 * m))
     _check("block-restriction", "encoder block unitarity residual", unit_resid, tol * 100)
@@ -286,7 +286,7 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
                 e_op = e_op + null @ _principal_unitary_sqrt(y) @ null.conj().T
 
             s_ik = e_op @ t_f.conj().T
-            herm = np.kron(s_ik, ID2) @ mat
+            herm = nk.tensor(s_ik, ID2) @ mat
             herm_resid = np.linalg.norm(herm - herm.conj().T)
             _check("block-hermitian", "hermitianization residual", herm_resid, tol * 100)
             herm = (herm + herm.conj().T) / 2
@@ -515,8 +515,8 @@ def verify_decomposition(
     eye_b = np.eye(canon.dim_b)
     enc_resids = []
     for left, target in zip(moved.encoders, canon.encoders):
-        lhs = np.kron(left, eye_b)
-        rhs = np.kron(target, eye_b)
+        lhs = nk.tensor(left, eye_b)
+        rhs = nk.tensor(target, eye_b)
         enc_resids.append(
             nk.trace_distance(lhs @ moved.tau @ lhs.conj().T, rhs @ moved.tau @ rhs.conj().T)
         )

@@ -1,6 +1,8 @@
+import ctypes
 import functools
 import glob
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,6 +52,34 @@ class TestTensor:
         expected = np.zeros((4, 4))
         expected[1, 1] = 1  # |01> is index 1 with left factor slow
         assert np.allclose(out, expected)
+
+
+class TestTensorEqualsKron:
+    """`tensor` is `np.kron` of two matrices: same dtype, same bits."""
+
+    @staticmethod
+    def matrix(rng, shape, kind):
+        # signed zeros and infinities mixed in, so the bits of 0 * x show
+        vals = np.concatenate([rng.standard_normal(12), [0.0, -0.0, 1.0, -1.0, np.inf]])
+        if kind == "real":
+            return rng.choice(vals, size=shape)
+        out = np.empty(shape, dtype=complex)
+        out.real, out.imag = rng.choice(vals, size=shape), rng.choice(vals, size=shape)
+        return out
+
+    @pytest.mark.parametrize("kinds", [("real", "real"), ("complex", "complex"),
+                                       ("real", "complex"), ("complex", "real")])
+    @pytest.mark.parametrize("shape_a, shape_b", [((1, 3), (1, 4)), ((3, 1), (4, 1)), ((3, 3), (2, 2)),
+                                                  ((1, 3), (4, 1)), ((3, 3), (1, 2)), ((2, 1), (3, 3))])
+    def test_bits(self, kinds, shape_a, shape_b):
+        rng = np.random.default_rng([61, *shape_a, *shape_b])
+        a, b = self.matrix(rng, shape_a, kinds[0]), self.matrix(rng, shape_b, kinds[1])
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN in both
+            assert same_bits(nk.tensor(a, b), np.kron(a, b))
+
+    def test_rejects_non_matrices(self):
+        with pytest.raises(ValueError, match="two matrices"):
+            nk.tensor(np.ones(2), np.eye(2))
 
 
 class TestPartialTrace:
@@ -241,6 +271,47 @@ class TestPsdSpectrumAndGram:
                     assert same_bits(nk.gram(kets), g), path
 
 
+class CountingExecutor(ThreadPoolExecutor):
+    """One helper thread that counts the tasks it was given."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.tasks = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestSplitGram:
+    """`gram` with a helper thread: the bits of one zherk call."""
+
+    @pytest.mark.parametrize("m, n", [(2, 16), (3, 5), (255, 264), (256, 136), (256, 300),
+                                      (257, 8), (257, 256), (1024, 1032), (1024, 1024)])
+    def test_equals_one_zherk(self, m, n):
+        if nk._zgemm() is None:
+            pytest.skip("numpy's OpenBLAS has no zgemm")
+        rng = np.random.default_rng([67, m, n])
+        rows = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        ref = nk.gram(rows)
+        strided = np.repeat(rows, 2, axis=0)[::2]  # the same kets, not C-contiguous
+        with CountingExecutor() as pool:
+            for kets in (rows, tuple(rows), strided):
+                g = nk.gram(kets, pool)
+                assert same_bits(g, ref) and g.flags.f_contiguous
+                assert not np.triu(g, 1).any()
+        # the helper took the block below the diagonal exactly where the rule allows
+        assert pool.tasks == (3 if nk._gram_splits(m, n) else 0)
+
+    def test_split_rule(self):
+        if nk._zgemm() is None:
+            pytest.skip("numpy's OpenBLAS has no zgemm")
+        assert nk._gram_splits(1024, 1024) and nk._gram_splits(16, 8)
+        assert not nk._gram_splits(15, 8)        # a diagonal block of fewer than 8 kets
+        assert not nk._gram_splits(1024, 1025)   # a ket length OpenBLAS blocks differently
+        assert nk._zherk(ctypes.CDLL) is not nk._zherk()
+
+
 class TestSchur:
     """`nk.schur` against `scipy.linalg.schur(a, output="complex")`, the reference."""
 
@@ -366,6 +437,18 @@ class TestHaarUnitaries:
             assert same_bits(nk.haar_unitaries(d, m, rng), expected)
             # the same state, so the generator's next draw is the same too
             assert rng.bit_generator.state == states[m]
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 17, 32])
+    def test_helper_keeps_bits_and_stream(self, d, monkeypatch):
+        # four draws a block, so a few draws cross several block boundaries
+        monkeypatch.setattr(nk, "_HAAR_BLOCK", 4 * d * d)
+        with CountingExecutor() as pool:
+            for m in (0, 1, 4, 5, 8, 9, 13):
+                rng, rng2 = np.random.default_rng([71, d, m]), np.random.default_rng([71, d, m])
+                assert same_bits(nk.haar_unitaries(d, m, rng, pool), nk.haar_unitaries(d, m, rng2))
+                assert same_bits(rng.standard_normal(3), rng2.standard_normal(3))
+        # every second block of 4 draws went to the helper
+        assert pool.tasks == sum((m + 3) // 4 // 2 for m in (0, 1, 4, 5, 8, 9, 13))
 
     def test_single_draw(self):
         rng, rng2 = np.random.default_rng(43), np.random.default_rng(43)
