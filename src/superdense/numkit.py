@@ -477,7 +477,10 @@ def haar_unitaries(d: int, m: int, rng: np.random.Generator, executor=None) -> n
 
     def factor_in_quarters(start: int, g: np.ndarray) -> None:
         # a thread's allocator keeps the most that thread ever held: the
-        # helper's quarter stacks hold a quarter of a block's temporaries
+        # helper's quarter stacks hold a quarter of a block's temporaries.
+        # In the random-large benchmark loop (d = 32, one BLAS thread) the
+        # peak RSS read 125.7 MB with them against 126.6-126.8 MB with whole
+        # blocks (4 runs each), for about 5-11 ms more sampling per trial
         size = -(-len(g) // 4)
         for i in range(0, len(g), size):
             factor(start + i, g[i:i + size])

@@ -16,15 +16,16 @@ Hermitian eigensolve of G feeds both the spectrum and the PGM
 with LAPACK's two-stage solver (`numkit.hermitian_eigenvalues`).  Both
 check the spectrum against G's trace and Frobenius norm.  Trials are
 independent, so `distinguishability_experiment` runs them on the CPUs that
-BLAS leaves idle.  Where fewer trials run than those CPUs allow, as for one
-trial at one BLAS thread on two CPUs, each trial of at least
-`_HELPER_MIN_KETS` kets also gets a helper thread: it QR-factors every
-second Haar block and forms the Gram block below the diagonal.  Each block
-gets the same LAPACK or BLAS call on the same input either way, so no bit
-of the output changes.  At d = 32 that took one trial at one BLAS thread
-from 434 to 381 ms (medians of 21 alternating in-process calls on a 2-vCPU
-Xeon, numpy 2.4.6 with OpenBLAS 0.3.31): sampling 83 -> 64 ms, the Gram
-80 -> 55 ms; the eigensolve stays on the trial's thread.
+BLAS leaves idle.  Where they run on one worker and BLAS leaves a second
+CPU free, as for one trial at one BLAS thread on two CPUs, each trial of
+at least `_HELPER_MIN_KETS` kets also gets a helper thread: it QR-factors
+every second Haar block and forms the Gram block below the diagonal.
+Each block gets the same LAPACK or BLAS call on the same input either
+way, so no bit of the output changes.  At d = 32 that took one trial at
+one BLAS thread from 434 to 381 ms (medians of 21 alternating in-process
+calls on a 2-vCPU Xeon, numpy 2.4.6 with OpenBLAS 0.3.31): sampling
+83 -> 64 ms, the Gram 80 -> 55 ms; the eigensolve stays on the trial's
+thread.
 """
 
 from __future__ import annotations
@@ -316,9 +317,10 @@ def distinguishability_experiment(
     second draw.  With more than one worker (`_trial_workers`) the trials run
     on a thread pool; no trial's arithmetic changes, and the results are
     gathered in trial order, so the statistics do not depend on the worker
-    count.  Where BLAS leaves at least two CPUs per worker, each trial of at
-    least `_HELPER_MIN_KETS` kets also gets a helper thread for its sampling
-    and its Gram matrix (`_trial_workers`); no bit changes with it either.
+    count.  With one worker where BLAS leaves a second CPU free, each trial
+    of at least `_HELPER_MIN_KETS` kets also gets a helper thread for its
+    sampling and its Gram matrix (`_trial_workers`); no bit changes with it
+    either.
     """
     if d < 2 or trials < 1:
         raise ValueError("need d >= 2 and at least one trial")
@@ -327,18 +329,14 @@ def distinguishability_experiment(
     n = d * d
     trial = functools.partial(_trial, d, seed, pgm_limit)
     workers = _trial_workers(n, trials)
-    helpers = n >= _HELPER_MIN_KETS and (_blas_slots() or 0) // workers >= 2
-    executor = ThreadPoolExecutor(workers) if helpers else None
-    try:
-        if executor is not None:
-            trial = functools.partial(trial, executor=executor)
-        if workers == 1:
-            results = [trial(t) for t in range(trials)]
-        else:
-            results = _run_trials(trial, trials, workers)
-    finally:
-        if executor is not None:
-            executor.shutdown()  # waits for a helper task still running
+    if workers > 1:
+        results = _run_trials(trial, trials, workers)
+    elif n < _HELPER_MIN_KETS or (_blas_slots() or 0) < 2:
+        results = [trial(t) for t in range(trials)]
+    else:
+        # leaving the block waits for a helper task still running
+        with ThreadPoolExecutor(1) as helper:
+            results = [trial(t, executor=helper) for t in range(trials)]
     hcs, pgms, maxes, spectra = zip(*results)
     ks = kolmogorov_distance(np.concatenate(spectra), MPParams(r=1.0))
     return ExperimentStats(
@@ -418,15 +416,18 @@ def _trial_workers(n: int, trials: int) -> int:
     the OpenBLAS thread count cannot be read.  That count governs every call
     in a trial: the Gram's zherk and the eigensolves all run in numpy's
     OpenBLAS.  Trials share no state, and their LAPACK calls release the
-    interpreter lock.  Where the slots are at least twice the workers, as
-    for one trial at one BLAS thread on two CPUs (`--trials 1`, or d >= 41
-    through the memory cap), each trial of at least `_HELPER_MIN_KETS` kets
-    also gets a helper thread.  The helper QR-factors every second Haar block
-    (`numkit.haar_unitaries`) and forms the Gram block below the diagonal
-    with zgemm (`numkit.gram`); the blocks get the same calls on the same
-    inputs, so no bit changes.  One d = 32 trial at one BLAS thread took
-    381 ms with it against 434 ms without (medians of 21 alternating
-    in-process calls, 2-vCPU Xeon).
+    interpreter lock.  Where this gives one worker and the slots are at
+    least 2, as at one BLAS thread on two CPUs for `--trials 1` or for
+    d >= 41 (through the memory cap), each trial of at least
+    `_HELPER_MIN_KETS` kets gets one helper thread, shared by the trials in
+    turn.  A pool of two or more workers gets no helpers: that case was not
+    measured, and its workers pin themselves to CPUs that a helper thread
+    created from them would inherit.  The helper QR-factors every second
+    Haar block (`numkit.haar_unitaries`) and forms the Gram block below the
+    diagonal with zgemm (`numkit.gram`); the blocks get the same calls on
+    the same inputs, so no bit changes.  One d = 32 trial at one BLAS
+    thread took 381 ms with it against 434 ms without (medians of 21
+    alternating in-process calls, 2-vCPU Xeon).
     """
     slots = _blas_slots()
     if slots is None:

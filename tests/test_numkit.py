@@ -303,6 +303,21 @@ class TestSplitGram:
         # the helper took the block below the diagonal exactly where the rule allows
         assert pool.tasks == (3 if nk._gram_splits(m, n) else 0)
 
+    @pytest.mark.parametrize("d", [20, 24, 28, 36, 40, 44, 48])
+    def test_equals_one_zherk_at_d_squared(self, d):
+        # the d^2 kets of d^2 entries that `random run` splits from d = 20,
+        # those with 4 | d (1024 = 32^2 is above), checked at the running
+        # machine's BLAS kernels and thread count
+        if nk._zgemm() is None:
+            pytest.skip("numpy's OpenBLAS has no zgemm")
+        n = d * d
+        assert nk._gram_splits(n, n)
+        rng = np.random.default_rng([67, d])
+        rows = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        with CountingExecutor() as pool:
+            assert same_bits(nk.gram(rows, pool), nk.gram(rows))
+        assert pool.tasks == 1
+
     def test_split_rule(self):
         if nk._zgemm() is None:
             pytest.skip("numpy's OpenBLAS has no zgemm")

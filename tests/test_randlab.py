@@ -471,6 +471,9 @@ class TestTrialHelper:
         assert made == [2]  # only the trial pool
         rl.distinguishability_experiment(d, 1, seed=1)
         assert made == [2, 1]  # one helper for the lone trial
+        monkeypatch.setattr(rl, "_blas_slots", lambda: 4)
+        rl.distinguishability_experiment(d, 2, seed=1)      # two workers, two slots each
+        assert made == [2, 1, 2]  # a pool gets no helpers
 
     def test_helper_failure_propagates_and_threads_end(self, monkeypatch):
         start = threading.active_count()
