@@ -277,8 +277,7 @@ def _scalar_defects(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.trace(a, axis1=1, axis2=2) / d
     f = a.reshape(len(a), -1).copy()
     f[:, :: d + 1] -= c[:, None]
-    # the formula np.linalg.norm uses on one complex matrix, row by row
-    return c, np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+    return c, nk.frobenius(f.reshape(a.shape))
 
 
 def _pair_spans(n: int, d: int, first: int) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
 Matrices and kets are plain numpy arrays (complex128): a matrix is a 2-D
 array in row-major order, a ket a 1-D array.  Everything here is a pure
-function; nothing mutates its arguments.
+function; nothing mutates its arguments, except `_eigvalsh_overwrite`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+NOT_HERMITIAN = "spectral_decomposition requires a Hermitian matrix"
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -58,14 +59,22 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices; the left factor is the slow index.
 
     One broadcast product, with `np.kron`'s dtype and bits: its products
-    are the same elementwise multiplications.  On factors up to 12 x 3 it
-    takes 2-4 us a call against np.kron's 14-16 us (numpy 2.4.6).
+    are the same elementwise multiplications.  Stacks (..., m, n) give the
+    product of each pair, broadcast over the leading axes.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"expected two matrices, got ndim={a.ndim} and {b.ndim}")
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
+def frobenius(a) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a stack (..., m, n):
+    `np.linalg.norm`'s formula, with its bits on a row-major complex matrix."""
+    a = np.asarray(a)
+    f = a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
+    return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -126,8 +135,12 @@ def spectral_decomposition(h, group_tol: float = DEFAULT_TOL,
     """
     h = _as_matrix(h)
     if not is_hermitian(h, tol):
-        raise ValueError("spectral_decomposition requires a Hermitian matrix")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+        raise ValueError(NOT_HERMITIAN)
+    return group_eigenpairs(*np.linalg.eigh((h + h.conj().T) / 2), group_tol)
+
+
+def group_eigenpairs(w, v, group_tol: float) -> tuple[tuple[float, np.ndarray], ...]:
+    """`spectral_decomposition`'s groups of `np.linalg.eigh`'s output (w, v)."""
     order = np.argsort(w)[::-1]          # descending, deterministic ties by index
     w, v = w[order], v[:, order]
     groups = []
@@ -172,21 +185,20 @@ def polar_decomposition(f) -> tuple[np.ndarray, np.ndarray]:
     times the largest) the unitary factor is completed by pairing left/right
     null bases (Gram-Schmidt over the standard basis, index order), so the
     result is deterministic: f = 0 yields t = identity, and [[0,2],[0,0]]
-    yields t = [[0,1],[1,0]].
+    yields t = [[0,1],[1,0]].  A stack (..., n, n) is decomposed by one
+    stacked SVD, and each singular member is completed on its own.
     """
-    f = _as_matrix(f)
-    if f.shape[0] != f.shape[1]:
+    f = np.asarray(f, dtype=complex)
+    if f.ndim < 2 or f.shape[-2] != f.shape[-1]:
         raise ValueError("polar decomposition requires a square matrix")
-    n = f.shape[0]
+    n = f.shape[-1]
     u, s, vh = np.linalg.svd(f)
-    d = (u * s) @ u.conj().T
-    r = int(np.sum(s > 1e-12 * (s[0] if s.size else 0.0)))
-    if r == n:
-        return d, u @ vh
-    ur, vr = u[:, :r], vh[:r].conj().T
-    left_null = _complement_basis(ur, n)
-    right_null = _complement_basis(vr, n)
-    t = ur @ vr.conj().T + left_null @ right_null.conj().T
+    d = (u * s[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    t = u @ vh
+    ranks = np.sum(s > 1e-12 * s[..., :1], axis=-1)
+    for idx in map(tuple, np.argwhere(ranks < n)):  # () for one matrix
+        ur, vr = u[idx][:, :ranks[idx]], vh[idx][:ranks[idx]].conj().T
+        t[idx] = ur @ vr.conj().T + _complement_basis(ur, n) @ _complement_basis(vr, n).conj().T
     return d, t
 
 
@@ -405,14 +417,18 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 
     Computed by LAPACK's two-stage routine zheevd_2stage (Haidar, Ltaief &
     Dongarra, SC'11: a BLAS-3 reduction to band form, then bulge chasing to
-    tridiagonal form), which at n = 1024 on one OpenBLAS thread takes about
-    two thirds of eigvalsh's time.  The routine overwrites its input, so it
-    works on a column-major copy.  Without the routine in numpy's OpenBLAS
-    this is `np.linalg.eigvalsh`.  Raises `np.linalg.LinAlgError` on a non-square
+    tridiagonal form).  The routine overwrites its input, so it works on a
+    column-major copy.  Without the routine in numpy's OpenBLAS this is
+    `np.linalg.eigvalsh`.  Raises `np.linalg.LinAlgError` on a non-square
     matrix, on a LAPACK error (NaN entries give info = -5) or on a non-finite
     eigenvalue (infinite entries).
     """
-    m = _as_matrix(a)
+    return _eigvalsh_overwrite(np.array(_as_matrix(a), order="F"))
+
+
+def _eigvalsh_overwrite(m: np.ndarray) -> np.ndarray:
+    """`hermitian_eigenvalues` that consumes its input: a writeable
+    column-major complex matrix is solved in place and left overwritten."""
     n = m.shape[0]
     if m.shape != (n, n):
         raise np.linalg.LinAlgError(f"expected a square matrix, got shape {m.shape}")
@@ -420,7 +436,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     if solver is None:
         w = np.linalg.eigvalsh(m, UPLO="L")
     else:
-        work = np.array(m, order="F")
+        work = np.require(m, complex, ["F", "W"])
         w = np.empty(n)
         info = solver(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(1, n), w.ctypes.data)
         if info != 0:

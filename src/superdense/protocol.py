@@ -319,28 +319,32 @@ def apply_local_equivalence(p: Protocol, v, c, w) -> Protocol:
     v acts on A' (x) A'', each c[i] on A', and w maps B into Bob's new space:
     a unitary, or an isometry such as W: B -> B' (x) B'', whose row count is
     the result's dim_b.  The state becomes (v (x) w) tau (v (x) w)^*, the
-    encoders (c[i] (x) 1) U_i v^*.  A wrong shape or count raises ValueError
-    naming v, w, c or c[k].
+    encoders (c[i] (x) 1) U_i v^*.  v = None or c = None stands for the
+    identity, and the encoders skip its product.  A wrong shape or count
+    raises ValueError naming v, w, c or c[k].
     """
     a1, d, b = p.dims
-    v = np.asarray(v, dtype=complex)
+    v_id = v is None
+    v = np.eye(p.dim_a, dtype=complex) if v_id else np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if v.shape != (p.dim_a,) * 2:
         raise ValueError(f"v must act on A: expected shape {(p.dim_a,) * 2}, got {v.shape}")
     if w.ndim != 2 or w.shape[1] != b:
         raise ValueError(f"w must map B to Bob's space: expected shape (m, {b}), got {w.shape}")
     n = len(p.encoders)
-    if len(c) != n:
+    if c is not None and len(c) != n:
         raise ValueError(f"c must hold one correction per encoder: expected {n}, got {len(c)}")
     vw = nk.tensor(v, w)
     tau = vw @ p.tau @ vw.conj().T
     eye_d = np.eye(d)
     encoders = []
-    for k, (ci, u) in enumerate(zip(c, p.encoders)):
-        ci = np.asarray(ci, dtype=complex)
-        if ci.shape != (a1, a1):
-            raise ValueError(f"c[{k}] must act on A': expected shape {(a1, a1)}, got {ci.shape}")
-        encoders.append(nk.tensor(ci, eye_d) @ u @ v.conj().T)
+    for k, u in enumerate(p.encoders):
+        if c is not None:
+            ci = np.asarray(c[k], dtype=complex)
+            if ci.shape != (a1, a1):
+                raise ValueError(f"c[{k}] must act on A': expected shape {(a1, a1)}, got {ci.shape}")
+            u = nk.tensor(ci, eye_d) @ u
+        encoders.append(u if v_id else u @ v.conj().T)
     return Protocol(a1, d, w.shape[0], tau, tuple(encoders))
 
 

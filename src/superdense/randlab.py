@@ -130,12 +130,14 @@ def esd(e: StateEnsemble, *, executor=None) -> np.ndarray:
 
     G shares its nonzero eigenvalues with the unnormalized ensemble average
     Q = sum |psi><psi|; for the d^2 kets of a random protocol both are
-    d^2 x d^2, so this is Q's spectrum.  The spectrum is checked against G
-    by `check_spectrum`.  `executor` is passed to `numkit.gram`.
+    d^2 x d^2, so this is Q's spectrum.  It is checked as by `check_spectrum`,
+    from G's sums taken before the eigensolve overwrites G.  `executor` is
+    passed to `numkit.gram`.
     """
     g = nk.gram(e.kets(), executor)
-    w = nk.hermitian_eigenvalues(g)
-    check_spectrum(w, g)
+    sums = _gram_sums(g)
+    w = nk._eigvalsh_overwrite(g)
+    _check_sums(w, *sums)
     return w[::-1].copy()
 
 
@@ -160,21 +162,31 @@ def check_spectrum(w: np.ndarray, g: np.ndarray) -> None:
     sum lambda^2 = ||G||_F^2 = 2 sum |g|^2 - sum |g_ii|^2 within
     8 n eps max lambda^2.  Neither side depends on the eigensolver, and both
     cost O(n^2).  Raises `np.linalg.LinAlgError` naming the identity that
-    fails.  `g` is read without a copy through `g.T`, C-contiguous where
-    zherk's output is F-ordered.  sum |g|^2 is summed per row, then across
-    rows: one running sum over all n^2 entries (`np.vdot`) drifts by up to
-    9.5 n eps max lambda^2 at n = 4096, against 0.2 per row.
+    fails.
     """
-    n, eps = w.size, np.finfo(float).eps
+    _check_sums(w, *_gram_sums(g))
+
+
+def _gram_sums(g: np.ndarray) -> tuple[float, float]:
+    """Tr G and ||G||_F^2 of `check_spectrum`'s `g`."""
+    # g.T is C-contiguous, as zherk's output is F-ordered.  sum |g|^2 goes per row,
+    # then across rows: one running sum (np.vdot) drifts 9.5 n eps max lambda^2
+    # at n = 4096, against 0.2 per row
     gt = g.T
     diag = gt.diagonal().real
+    parts = np.ascontiguousarray(gt).view(np.float64)  # re, im side by side
+    frobenius = 2 * float(np.einsum("ij,ij->i", parts, parts).sum()) - float(np.sum(diag**2))
+    return float(diag.sum()), frobenius
+
+
+def _check_sums(w: np.ndarray, trace: float, frobenius: float) -> None:
+    """`check_spectrum` of `w` against G's sums from `_gram_sums`."""
+    n, eps = w.size, np.finfo(float).eps
     top = float(np.abs(w).max(initial=0.0))
-    trace_gap = abs(float(w.sum()) - float(diag.sum()))
+    trace_gap = abs(float(w.sum()) - trace)
     if not trace_gap <= 4 * n * eps * top:
         raise np.linalg.LinAlgError(
             f"eigenvalue sum differs from the Gram trace by {trace_gap:.3e}")
-    parts = np.ascontiguousarray(gt).view(np.float64)  # re, im side by side
-    frobenius = 2 * float(np.einsum("ij,ij->i", parts, parts).sum()) - float(np.sum(diag**2))
     square_gap = abs(float(np.sum(w**2)) - frobenius)
     if not square_gap <= 8 * n * eps * top**2:
         raise np.linalg.LinAlgError(

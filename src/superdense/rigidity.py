@@ -134,7 +134,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     dim_a = p.dim_a
 
     v = p.encoders[0]
-    gauged = apply_local_equivalence(p, v, [np.eye(a1)] * 4, np.eye(b))
+    gauged = apply_local_equivalence(p, v, None, np.eye(b))
 
     # purification into a reference system of dimension rank(tau)
     factor = _state_factor(gauged.tau, tol)
@@ -206,7 +206,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
             c_i += basis @ v_i[:, start:stop].conj().T
             start = stop
         cs.append(c_i)
-    nice = apply_local_equivalence(gauged, np.eye(dim_a), cs, w_iso)
+    nice = apply_local_equivalence(gauged, None, cs, w_iso)
 
     item2_resid = nk.trace_distance(nice.tau, canonical_state(rho, a1, dim_b_prime))
     _check("item2", "product-form trace distance", item2_resid, tol * 10)
@@ -232,19 +232,9 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     )
 
 
-def _restricted_block_split(encoder: np.ndarray, basis: np.ndarray, tol: float):
-    """Restrict an encoder to one eigenspace and return its qubit blocks F,G,H."""
-    m = basis.shape[1]
-    basis2 = nk.tensor(basis, ID2)
-    mat = basis2.conj().T @ encoder @ basis2
-    unit_resid = np.linalg.norm(mat @ mat.conj().T - np.eye(2 * m))
-    _check("block-restriction", "encoder block unitarity residual", unit_resid, tol * 100)
-    f = mat[0::2, 0::2]
-    g = mat[0::2, 1::2]
-    h = mat[1::2, 0::2]
-    f2 = mat[1::2, 1::2]
-    _check("block-traceless", "diagonal block sum", np.linalg.norm(f + f2), tol * 100)
-    return mat, f, g, h
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockForm:
@@ -256,80 +246,94 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
     root on ker(K) makes the block Hermitian, and joint diagonalization of K
     with the restricted unitaries extracts the projectors and the traceless
     Hermitian unitary 2x2 factors.
+
+    Items, one per (encoder, eigenspace), are stacked by eigenspace
+    dimension, and each product, polar decomposition and `eigh` is one
+    numpy call on the stack, which makes the 2-D call's LAPACK or BLAS call
+    on each matrix: no bit changes.  Per item run the kernel correction, the
+    grouping of K's spectrum, the Schur clusters and the checks, in encoder
+    order; a stack stops at its first item that fails the first two checks.
     """
     a1 = n.protocol.dim_a_prime
     group_tol = math.sqrt(tol)
+    limit = tol * 100
+    items = [(i, basis) for i in (1, 2, 3) for _, basis in n.eigenspaces]
+    by_dim = {m: [j for j, (_, basis) in enumerate(items) if basis.shape[1] == m]
+              for m in {basis.shape[1] for _, basis in items}}
+    unit, trace, stages = np.empty(len(items)), np.empty(len(items)), {}
+    for m, idx in by_dim.items():
+        basis2 = nk.tensor(np.stack([items[j][1] for j in idx]), ID2)
+        mat = _adj(basis2) @ np.stack([n.protocol.encoders[items[j][0]] for j in idx]) @ basis2
+        unit[idx] = nk.frobenius(mat @ _adj(mat) - np.eye(2 * m))
+        trace[idx] = nk.frobenius(mat[:, 0::2, 0::2] + mat[:, 1::2, 1::2])
+        live = np.logical_and.accumulate((unit[idx] <= limit) & (trace[idx] <= limit)).sum()
+        stages.update(zip(idx, _stacked_blocks(mat[:live], tol)))
+    all_blocks, corrections = ([], [], []), [np.eye(a1, dtype=complex) - n.support] * 3
+    for j, (i, basis) in enumerate(items):
+        _check("block-restriction", "encoder block unitarity residual", unit[j], limit)
+        _check("block-traceless", "diagonal block sum", trace[j], limit)
+        y_resid, herm_resid, k_hermitian, kw, kv, ew_g, k_mat, l_mat, s_ik = stages[j]
+        if y_resid is not None:
+            _check("block-kernel", "kernel rotation unitarity residual", y_resid, limit)
+        _check("block-hermitian", "hermitianization residual", herm_resid, limit)
+        if not k_hermitian:
+            raise ValueError(nk.NOT_HERMITIAN)
+        for _, c_r in nk.group_eigenpairs(kw, kv, group_tol):
+            x_r = c_r.conj().T @ ew_g @ c_r
+            x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
+            _check("block-phases", "restricted rotation residual", x_resid, limit)
+            t_s, z_s = nk.schur(x_r)
+            betas = np.diag(t_s)
+            used = np.zeros(len(betas), dtype=bool)
+            for s in range(len(betas)):
+                if used[s]:
+                    continue
+                cluster = (np.abs(betas - betas[s]) <= group_tol) & ~used
+                used |= cluster
+                zc = c_r @ z_s[:, cluster]
+                rank = zc.shape[1]
+                # read the block's diagonal/off-diagonal values from the
+                # Hermitian form itself; sqrt(1 - alpha^2) would blow up
+                # roundoff near alpha = 1
+                alpha = float(np.einsum("sm,mt,ts->", zc.conj().T, k_mat, zc).real) / rank
+                lam = complex(np.einsum("sm,mt,ts->", zc.conj().T, l_mat, zc)) / rank
+                nrm = math.hypot(alpha, abs(lam))
+                _check("block-phases", "block column norm defect", abs(nrm - 1.0), limit)
+                alpha, lam = alpha / nrm, lam / nrm
+                q = basis @ (zc @ zc.conj().T) @ basis.conj().T
+                r_2x2 = np.array([[alpha, lam], [np.conj(lam), -alpha]], dtype=complex)
+                all_blocks[i - 1].append((q, r_2x2))
+        corrections[i - 1] = corrections[i - 1] + basis @ s_ik @ basis.conj().T
+    return BlockForm(tuple(map(tuple, all_blocks)), tuple(corrections), n.support)
 
-    all_blocks, corrections = [], []
-    for i in (1, 2, 3):
-        encoder = n.protocol.encoders[i]
-        blocks_i: list[tuple[np.ndarray, np.ndarray]] = []
-        s_i = np.eye(a1, dtype=complex) - n.support
-        for _, basis in n.eigenspaces:
-            mat, f, g, h = _restricted_block_split(encoder, basis, tol)
-            d_f, t_f = nk.polar_decomposition(f)
-            _, t_g = nk.polar_decomposition(g)
-            _, t_h = nk.polar_decomposition(h)
-            k_op = t_f.conj().T @ d_f @ t_f
-            w_g = t_f.conj().T @ t_g
-            w_h = t_h.conj().T @ t_f
 
-            kw, kv = np.linalg.eigh((k_op + k_op.conj().T) / 2)
-            in_supp = kw > tol
-            gamma = (kv[:, in_supp]) @ (kv[:, in_supp]).conj().T
-            e_op = gamma.copy()
-            if (~in_supp).any():
-                null = kv[:, ~in_supp]
-                y = null.conj().T @ (w_h @ w_g.conj().T) @ null
-                y_resid = np.linalg.norm(y @ y.conj().T - np.eye(y.shape[0]))
-                _check("block-kernel", "kernel rotation unitarity residual", y_resid, tol * 100)
-                e_op = e_op + null @ _principal_unitary_sqrt(y) @ null.conj().T
-
-            s_ik = e_op @ t_f.conj().T
-            herm = nk.tensor(s_ik, ID2) @ mat
-            herm_resid = np.linalg.norm(herm - herm.conj().T)
-            _check("block-hermitian", "hermitianization residual", herm_resid, tol * 100)
-            herm = (herm + herm.conj().T) / 2
-            k_mat = herm[0::2, 0::2]
-            l_mat = herm[0::2, 1::2]
-
-            ew_g = e_op @ w_g
-            k_groups = nk.spectral_decomposition(k_mat, group_tol=group_tol, tol=1e-6)
-            for _, c_r in k_groups:
-                x_r = c_r.conj().T @ ew_g @ c_r
-                x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
-                _check("block-phases", "restricted rotation residual", x_resid, tol * 100)
-                t_s, z_s = nk.schur(x_r)
-                betas = np.diag(t_s)
-                used = np.zeros(len(betas), dtype=bool)
-                for s in range(len(betas)):
-                    if used[s]:
-                        continue
-                    cluster = (np.abs(betas - betas[s]) <= group_tol) & ~used
-                    used |= cluster
-                    zc = c_r @ z_s[:, cluster]
-                    rank = zc.shape[1]
-                    # read the block's diagonal/off-diagonal values from the
-                    # Hermitian form itself; sqrt(1 - alpha^2) would blow up
-                    # roundoff near alpha = 1
-                    alpha = float(np.einsum("sm,mt,ts->", zc.conj().T, k_mat, zc).real) / rank
-                    lam = complex(np.einsum("sm,mt,ts->", zc.conj().T, l_mat, zc)) / rank
-                    nrm = math.hypot(alpha, abs(lam))
-                    _check("block-phases", "block column norm defect", abs(nrm - 1.0), tol * 100)
-                    alpha, lam = alpha / nrm, lam / nrm
-                    q = basis @ (zc @ zc.conj().T) @ basis.conj().T
-                    r_2x2 = np.array(
-                        [[alpha, lam], [np.conj(lam), -alpha]], dtype=complex
-                    )
-                    blocks_i.append((q, r_2x2))
-            s_i = s_i + basis @ s_ik @ basis.conj().T
-        all_blocks.append(tuple(blocks_i))
-        corrections.append(s_i)
-    return BlockForm(
-        blocks=tuple(all_blocks),
-        corrections=tuple(corrections),
-        support=n.support,
-    )
+def _stacked_blocks(mat: np.ndarray, tol: float) -> list[tuple]:
+    """`block_diagonalize`'s stages on a stack of restricted blocks, per item:
+    the kernel residual (None if ker(K) = 0), the Hermitianization residual,
+    whether K's block is Hermitian, its `eigh`, E W_G, K, L and E T_F^*."""
+    d, t = nk.polar_decomposition(
+        np.concatenate((mat[:, 0::2, 0::2], mat[:, 0::2, 1::2], mat[:, 1::2, 0::2])))
+    (d_f, _, _), (t_f, t_g, t_h) = np.split(d, 3), np.split(t, 3)
+    k_op = _adj(t_f) @ d_f @ t_f
+    w_g = _adj(t_f) @ t_g
+    w_h = _adj(t_h) @ t_f
+    kw, kv = np.linalg.eigh((k_op + _adj(k_op)) / 2)
+    in_supp = kw > tol
+    e_op = kv @ _adj(kv)  # Gamma, all of it where ker(K) = 0
+    y_resids = [None] * len(mat)
+    for p in np.flatnonzero(~in_supp.all(axis=1)):
+        sup, null = kv[p][:, in_supp[p]], kv[p][:, ~in_supp[p]]
+        y = null.conj().T @ (w_h[p] @ w_g[p].conj().T) @ null
+        y_resids[p] = np.linalg.norm(y @ y.conj().T - np.eye(y.shape[0]))
+        e_op[p] = sup @ sup.conj().T + null @ _principal_unitary_sqrt(y) @ null.conj().T
+    s_ik = e_op @ _adj(t_f)
+    herm = nk.tensor(s_ik, ID2) @ mat
+    herm_resid = nk.frobenius(herm - _adj(herm))
+    herm = (herm + _adj(herm)) / 2
+    k_mat, l_mat = herm[:, 0::2, 0::2], herm[:, 0::2, 1::2]
+    k_hermitian = nk.frobenius(k_mat - _adj(k_mat)) <= 1e-6 * np.maximum(1.0, nk.frobenius(k_mat))
+    kw, kv = np.linalg.eigh((k_mat + _adj(k_mat)) / 2)
+    return list(zip(y_resids, herm_resid, k_hermitian, kw, kv, e_op @ w_g, k_mat, l_mat, s_ik))
 
 
 def common_eigenvector(c, d, e, tol: float = DEFAULT_STAGE_TOL) -> np.ndarray:
@@ -501,6 +505,8 @@ def verify_decomposition(
     (a) (V (x) W) tau (V (x) W)^* must be rho (x) EPR;
     (b) for each i the operators (C_i^* (x) 1) U_i V^* and
         sum_r P_r (x) S_r sigma_i S_r^* must act identically on tau'.
+    Each encoder's products stay separate 2-D calls: one (4, N, N) stack of
+    them would hold four times the N x N temporaries at once.
     """
     a1, d, b = p.dims
     if d != 2:

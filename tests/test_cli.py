@@ -452,7 +452,8 @@ class TestExitCodes:
             return solve
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed(np.linalg.eigh))
-        monkeypatch.setattr(nk, "hermitian_eigenvalues", perturbed(nk.hermitian_eigenvalues))
+        # the two-stage solver as `esd` calls it, in place on the Gram matrix
+        monkeypatch.setattr(nk, "_eigvalsh_overwrite", perturbed(nk._eigvalsh_overwrite))
         out = tmp_path / "stats.json"
         assert main(["random", "run", "--d", "3", "--trials", "2", "--pgm-limit", pgm_limit,
                      "-o", str(out)]) == 2

@@ -81,6 +81,35 @@ class TestTensorEqualsKron:
         with pytest.raises(ValueError, match="two matrices"):
             nk.tensor(np.ones(2), np.eye(2))
 
+    def test_stacks_give_each_pairs_product(self):
+        rng = np.random.default_rng(62)
+        a = self.matrix(rng, (2, 3, 2, 3), "complex")
+        b = self.matrix(rng, (3, 2, 2), "complex")  # broadcast against a's second axis
+        with np.errstate(invalid="ignore"):
+            out = nk.tensor(a, b)
+            assert out.shape == (2, 3, 4, 6)
+            for i, j in np.ndindex(2, 3):
+                assert same_bits(out[i, j], nk.tensor(a[i, j], b[j]))
+
+
+class TestFrobenius:
+    """`frobenius` has `np.linalg.norm`'s bits on every row-major complex matrix."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (6, 6), (12, 12), (40, 40)])
+    def test_bits_of_linalg_norm(self, shape):
+        rng = np.random.default_rng([63, *shape])
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for a in (m, m[::2, ::2], m[:, 1:], m.T.copy()):
+            assert same_bits(nk.frobenius(a), np.linalg.norm(a))
+
+    def test_stack_is_each_matrix_norm(self):
+        rng = np.random.default_rng(64)
+        stack = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
+        norms = nk.frobenius(stack)
+        assert norms.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert same_bits(norms[idx], np.linalg.norm(stack[idx]))
+
 
 class TestPartialTrace:
     def test_epr_reduction(self):
@@ -170,6 +199,21 @@ class TestSpectralDecomposition:
         with pytest.raises(ValueError):
             nk.spectral_decomposition(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_group_eigenpairs_is_its_grouping(self, seed):
+        # degenerate and near-degenerate eigenvalues, so groups of several sizes form
+        rng = np.random.default_rng([65, seed])
+        q, _ = np.linalg.qr(random_matrix(rng, 6))
+        w = np.array([1.0, 1.0, 1.0 + 1e-11, 0.5, -0.25, -0.25 + 1e-3])
+        h = (q * w) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        expected = nk.spectral_decomposition(h, group_tol=1e-6)
+        groups = nk.group_eigenpairs(*np.linalg.eigh((h + h.conj().T) / 2), 1e-6)
+        assert [basis.shape[1] for _, basis in groups] == [3, 1, 1, 1]
+        assert len(groups) == len(expected)
+        for (lam, basis), (lam_ref, basis_ref) in zip(groups, expected):
+            assert lam == lam_ref and same_bits(basis, basis_ref)
+
 
 class TestPolarDecomposition:
     def test_zero_matrix_convention(self):
@@ -191,6 +235,32 @@ class TestPolarDecomposition:
         assert np.allclose(d, scipy.linalg.sqrtm(f @ f.conj().T), atol=1e-10)
         assert np.allclose(d, np.diag([2, 0]), atol=1e-12)
         assert np.allclose(t, np.array([[0, 1], [1, 0]]), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_equals_each_matrix_bits(self, n):
+        # full-rank, singular and zero members in one stack: each member's
+        # factors are the 2-D call's, and a full-rank member's are those of
+        # the SVD formula on its own
+        rng = np.random.default_rng([66, n])
+        full = random_matrix(rng, n)
+        singular = random_matrix(rng, n)
+        singular[:, : max(1, n // 2)] = 0
+        nilpotent = np.zeros((n, n), dtype=complex)
+        nilpotent[0, -1] = 2.0
+        stack = np.stack([full, singular, np.zeros((n, n), dtype=complex), nilpotent, full.conj()])
+        d, t = nk.polar_decomposition(stack.reshape(5, 1, n, n))
+        assert d.shape == t.shape == (5, 1, n, n)
+        for k, f in enumerate(stack):
+            d_k, t_k = nk.polar_decomposition(f)
+            assert same_bits(d[k, 0], d_k) and same_bits(t[k, 0], t_k)
+        for k in (0, 4):
+            u, s, vh = np.linalg.svd(stack[k])
+            assert same_bits(d[k, 0], (u * s) @ u.conj().T) and same_bits(t[k, 0], u @ vh)
+        assert np.allclose(t[2, 0], np.eye(n))
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            nk.polar_decomposition(np.zeros((2, 3, 2)))
 
     def test_invariants_random(self):
         rng = np.random.default_rng(13)
@@ -385,6 +455,15 @@ class TestHermitianEigenvalues:
         w = nk.hermitian_eigenvalues(h)
         assert w.tobytes() == nk.hermitian_eigenvalues(f).tobytes()
         assert np.array_equal(h, before) and np.array_equal(f, before)
+
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_overwrite_variant_has_the_same_bits(self, n):
+        h = random_hermitian(np.random.default_rng([75, n]), n)
+        expected = nk.hermitian_eigenvalues(h)
+        before = h.copy()
+        assert nk._eigvalsh_overwrite(h).tobytes() == expected.tobytes()
+        assert np.array_equal(h, before)  # a row-major input is solved on a copy
+        assert nk._eigvalsh_overwrite(np.asfortranarray(h)).tobytes() == expected.tobytes()
 
     def test_reads_lower_triangle_only(self):
         h = random_hermitian(np.random.default_rng(73), 9)

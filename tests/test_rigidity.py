@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -225,7 +226,78 @@ class TestToNiceForm:
             rg.to_nice_form(p)
 
 
+def block_diagonalize_reference(n, tol=rg.DEFAULT_STAGE_TOL):
+    """`rg.block_diagonalize` as one loop over encoders and eigenspaces, each
+    step a 2-D call: the reference its stacked calls must match bit for bit."""
+    a1, group_tol, all_blocks, corrections = n.protocol.dim_a_prime, math.sqrt(tol), [], []
+    for i in (1, 2, 3):
+        blocks_i, s_i = [], np.eye(a1, dtype=complex) - n.support
+        for _, basis in n.eigenspaces:
+            basis2 = nk.tensor(basis, ID2)
+            mat = basis2.conj().T @ n.protocol.encoders[i] @ basis2
+            d_f, t_f = nk.polar_decomposition(mat[0::2, 0::2])
+            t_g, t_h = nk.polar_decomposition(mat[0::2, 1::2])[1], nk.polar_decomposition(mat[1::2, 0::2])[1]
+            k_op, w_g, w_h = t_f.conj().T @ d_f @ t_f, t_f.conj().T @ t_g, t_h.conj().T @ t_f
+            kw, kv = np.linalg.eigh((k_op + k_op.conj().T) / 2)
+            in_supp = kw > tol
+            e_op = kv[:, in_supp] @ kv[:, in_supp].conj().T
+            if (~in_supp).any():
+                null = kv[:, ~in_supp]
+                y = null.conj().T @ (w_h @ w_g.conj().T) @ null
+                e_op = e_op + null @ rg._principal_unitary_sqrt(y) @ null.conj().T
+            s_ik = e_op @ t_f.conj().T
+            herm = nk.tensor(s_ik, ID2) @ mat
+            herm = (herm + herm.conj().T) / 2
+            k_mat, l_mat, ew_g = herm[0::2, 0::2], herm[0::2, 1::2], e_op @ w_g
+            for _, c_r in nk.spectral_decomposition(k_mat, group_tol=group_tol, tol=1e-6):
+                t_s, z_s = nk.schur(c_r.conj().T @ ew_g @ c_r)
+                betas = np.diag(t_s)
+                used = np.zeros(len(betas), dtype=bool)
+                for s in range(len(betas)):
+                    if used[s]:
+                        continue
+                    cluster = (np.abs(betas - betas[s]) <= group_tol) & ~used
+                    used |= cluster
+                    zc = c_r @ z_s[:, cluster]
+                    alpha = float(np.einsum("sm,mt,ts->", zc.conj().T, k_mat, zc).real) / zc.shape[1]
+                    lam = complex(np.einsum("sm,mt,ts->", zc.conj().T, l_mat, zc)) / zc.shape[1]
+                    nrm = math.hypot(alpha, abs(lam))
+                    alpha, lam = alpha / nrm, lam / nrm
+                    q = basis @ (zc @ zc.conj().T) @ basis.conj().T
+                    blocks_i.append((q, np.array([[alpha, lam], [np.conj(lam), -alpha]], dtype=complex)))
+            s_i = s_i + basis @ s_ik @ basis.conj().T
+        all_blocks.append(blocks_i)
+        corrections.append(s_i)
+    return all_blocks, corrections
+
+
 class TestBlockDiagonalize:
+    @pytest.mark.parametrize("case", ["scrambles", "shared-eigenspace", "two-block"])
+    def test_stacks_equal_the_per_item_loop_bits(self, case):
+        # eigenspaces of one and of several dimensions, and stacks that mix
+        # items with and without a kernel of K
+        if case == "scrambles":
+            protos = [planted_protocol(a1, b1, k, seed=[90, a1]) for a1, b1, k in
+                      ((1, 1, 1), (2, 2, 2), (3, 3, 2), (4, 3, 3), (6, 4, 2))]
+            protos = [p for p, _ in protos] + [pr.bennett_wiesner()]
+        elif case == "shared-eigenspace":
+            protos = [shared_eigenspace_protocol(seed) for seed in range(3)]
+        else:
+            had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+            projs = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+            rho = 0.7 * np.kron(projs[0], projs[0]) + 0.3 * np.kron(projs[1], projs[1])
+            protos = [block_protocol(projs, [ID2, had], rho), block_protocol(projs, [had, ID2], rho)]
+        for p in protos:
+            nf = rg.to_nice_form(p)
+            bf = rg.block_diagonalize(nf)
+            blocks, corrections = block_diagonalize_reference(nf)
+            assert [len(b) for b in bf.blocks] == [len(b) for b in blocks]
+            for got, ref in zip(bf.blocks, blocks):
+                for (q, r), (q_ref, r_ref) in zip(got, ref):
+                    assert q.tobytes() == q_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+            for c, c_ref in zip(bf.corrections, corrections):
+                assert c.tobytes() == c_ref.tobytes()
+
     def test_single_block_x_encoder(self):
         p = block_protocol([np.eye(1, dtype=complex)], [ID2], np.eye(1, dtype=complex))
         nf = rg.to_nice_form(p)
@@ -250,6 +322,27 @@ class TestBlockDiagonalize:
         assert len(mats) == 2
         assert any(np.allclose(m, PAULI_Z, atol=1e-8) for m in mats)
         assert any(np.allclose(m, PAULI_X, atol=1e-8) for m in mats)
+
+    def test_two_blocks_unequal_weights_share_one_stack(self, monkeypatch):
+        # rho^{A'} = diag(0.7, 0.3): two 1-dimensional eigenspaces, so the six
+        # (encoder, eigenspace) items form one stack.  With S_1 = 1 and
+        # S_2 = Hadamard, F = 0 where an encoder restricts to X or Y, so the
+        # stack mixes items with ker(K) != 0 and items without
+        proj = np.diag([1.0, 0.0]).astype(complex)
+        comp = np.diag([0.0, 1.0]).astype(complex)
+        had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        rho = 0.7 * np.kron(proj, np.diag([1.0, 0.0])) + 0.3 * np.kron(comp, np.diag([0.0, 1.0]))
+        p = block_protocol([proj, comp], [ID2, had], rho.astype(complex))
+        nf = rg.to_nice_form(p)
+        assert [basis.shape[1] for _, basis in nf.eigenspaces] == [1, 1]
+        kernels = []
+        sqrt = rg._principal_unitary_sqrt
+        monkeypatch.setattr(rg, "_principal_unitary_sqrt", lambda y: kernels.append(y) or sqrt(y))
+        dec, rep = rg.canonicalize(p)
+        monkeypatch.undo()
+        assert len(kernels) == 4  # HZH = X, X on the identity block, and Y and HYH = -Y
+        assert rep.passed and rg.verify_decomposition(p, dec).passed
+        assert sorted(np.trace(p_r).real for p_r, _, _ in dec.blocks) == pytest.approx([1.0, 1.0])
 
     def test_r_matrices_are_reflections(self):
         p, _ = planted_protocol(4, 2, 2, seed=2)
