@@ -10,6 +10,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 
 import numpy as np
@@ -88,7 +89,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     """
     m = _as_matrix(m)
     dims = [int(d) for d in dims]
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
     keep = sorted(set(int(k) for k in keep))
@@ -100,7 +101,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     for count, i in enumerate(traced):
         ax = i - sum(1 for j in traced[:count] if j < i)
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
+    dk = math.prod(dims[i] for i in keep)
     return t.reshape(dk, dk)
 
 
@@ -118,7 +119,7 @@ def permute_factors(m, dims, perm) -> np.ndarray:
         raise ValueError(f"perm {perm} is not a permutation of 0..{k - 1}")
     t = m.reshape(dims + dims)
     t = t.transpose(perm + [p + k for p in perm])
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     return t.reshape(n, n)
 
 

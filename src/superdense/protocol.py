@@ -219,13 +219,20 @@ def verify_errorless(p: Protocol, tol: float = nk.DEFAULT_TOL) -> ErrorlessRepor
         distinguishing projective measurement to exist.
     (b) the operator condition Tr_{A''}(U_i tau^A U_j^*) = 0, as a cross
         check.
+
+    (a) is read off T = X X^H, one BLAS product: the rows (i, alpha, r) of X
+    are the columns of the factors F_{i,alpha}, and Tr(rho_i rho_j) =
+    sum_{alpha,beta} ||F_{j,beta}^H F_{i,alpha}||_F^2 is the sum of |T|^2
+    over T's block (i, j).  On an errorless protocol every overlap, and so
+    the worst pair, is rounding noise of T's entries.
     """
     a1, d, b = p.dims
     n = len(p.encoders)
     e = _encoded_factors(p).reshape(n, a1, d * b, -1)
-    # overlap(i,j) = sum_{alpha,beta} ||F_{j,beta}^H F_{i,alpha}||_F^2
-    t = np.einsum("iaur,jbus->iajbrs", e, e.conj())
-    overlaps = np.einsum("iajbrs,iajbrs->ij", t, t.conj()).real
+    x = e.transpose(0, 1, 3, 2).reshape(-1, d * b)
+    sq = (x @ x.conj().T).view(float)  # T's real and imaginary parts
+    sq *= sq  # in place: T is the only array of its size
+    overlaps = sq.reshape(n, len(x) // n, n, -1).sum(axis=(1, 3))
     off = overlaps - np.diag(np.diag(overlaps))
     worst = int(np.argmax(off))
     worst_pair = (worst // n, worst % n)

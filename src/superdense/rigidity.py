@@ -248,11 +248,15 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
     Hermitian unitary 2x2 factors.
 
     Items, one per (encoder, eigenspace), are stacked by eigenspace
-    dimension, and each product, polar decomposition and `eigh` is one
+    dimension m, and each product, polar decomposition and `eigh` is one
     numpy call on the stack, which makes the 2-D call's LAPACK or BLAS call
-    on each matrix: no bit changes.  Per item run the kernel correction, the
-    grouping of K's spectrum, the Schur clusters and the checks, in encoder
-    order; a stack stops at its first item that fails the first two checks.
+    on each matrix: no bit changes.  At m >= 2 each item groups K's spectrum
+    and clusters each group's Schur form on its own.  At m = 1, K's one
+    eigenvector is 1 + 0j and x_r is its own Schur form with Schur vector 1,
+    as the n = 1 branches of LAPACK's zheevd and zgees return, so the
+    remaining 1 x 1 products run once per stack.  Checks run per item in
+    encoder order, as do the corrections' sums; a stack stops at its first
+    item that fails the first two checks.
     """
     a1 = n.protocol.dim_a_prime
     group_tol = math.sqrt(tol)
@@ -262,55 +266,38 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
               for m in {basis.shape[1] for _, basis in items}}
     unit, trace, stages = np.empty(len(items)), np.empty(len(items)), {}
     for m, idx in by_dim.items():
-        basis2 = nk.tensor(np.stack([items[j][1] for j in idx]), ID2)
+        bases = np.stack([items[j][1] for j in idx])
+        basis2 = nk.tensor(bases, ID2)
         mat = _adj(basis2) @ np.stack([n.protocol.encoders[items[j][0]] for j in idx]) @ basis2
         unit[idx] = nk.frobenius(mat @ _adj(mat) - np.eye(2 * m))
         trace[idx] = nk.frobenius(mat[:, 0::2, 0::2] + mat[:, 1::2, 1::2])
         live = np.logical_and.accumulate((unit[idx] <= limit) & (trace[idx] <= limit)).sum()
-        stages.update(zip(idx, _stacked_blocks(mat[:live], tol)))
+        stages.update(zip(idx, _stacked_blocks(mat[:live], bases[:live], tol)))
     all_blocks, corrections = ([], [], []), [np.eye(a1, dtype=complex) - n.support] * 3
     for j, (i, basis) in enumerate(items):
         _check("block-restriction", "encoder block unitarity residual", unit[j], limit)
         _check("block-traceless", "diagonal block sum", trace[j], limit)
-        y_resid, herm_resid, k_hermitian, kw, kv, ew_g, k_mat, l_mat, s_ik = stages[j]
+        y_resid, herm_resid, k_hermitian, correction, *phases = stages[j]
         if y_resid is not None:
             _check("block-kernel", "kernel rotation unitarity residual", y_resid, limit)
         _check("block-hermitian", "hermitianization residual", herm_resid, limit)
         if not k_hermitian:
             raise ValueError(nk.NOT_HERMITIAN)
-        for _, c_r in nk.group_eigenpairs(kw, kv, group_tol):
-            x_r = c_r.conj().T @ ew_g @ c_r
-            x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
+        if basis.shape[1] == 1:
+            x_resid, alpha, lam, q = phases
             _check("block-phases", "restricted rotation residual", x_resid, limit)
-            t_s, z_s = nk.schur(x_r)
-            betas = np.diag(t_s)
-            used = np.zeros(len(betas), dtype=bool)
-            for s in range(len(betas)):
-                if used[s]:
-                    continue
-                cluster = (np.abs(betas - betas[s]) <= group_tol) & ~used
-                used |= cluster
-                zc = c_r @ z_s[:, cluster]
-                rank = zc.shape[1]
-                # read the block's diagonal/off-diagonal values from the
-                # Hermitian form itself; sqrt(1 - alpha^2) would blow up
-                # roundoff near alpha = 1
-                alpha = float(np.einsum("sm,mt,ts->", zc.conj().T, k_mat, zc).real) / rank
-                lam = complex(np.einsum("sm,mt,ts->", zc.conj().T, l_mat, zc)) / rank
-                nrm = math.hypot(alpha, abs(lam))
-                _check("block-phases", "block column norm defect", abs(nrm - 1.0), limit)
-                alpha, lam = alpha / nrm, lam / nrm
-                q = basis @ (zc @ zc.conj().T) @ basis.conj().T
-                r_2x2 = np.array([[alpha, lam], [np.conj(lam), -alpha]], dtype=complex)
-                all_blocks[i - 1].append((q, r_2x2))
-        corrections[i - 1] = corrections[i - 1] + basis @ s_ik @ basis.conj().T
+            all_blocks[i - 1].append((q, _reflection(alpha, lam, 1, limit)))
+        else:
+            all_blocks[i - 1].extend(_phase_blocks(basis, *phases, group_tol, limit))
+        corrections[i - 1] = corrections[i - 1] + correction
     return BlockForm(tuple(map(tuple, all_blocks)), tuple(corrections), n.support)
 
 
-def _stacked_blocks(mat: np.ndarray, tol: float) -> list[tuple]:
-    """`block_diagonalize`'s stages on a stack of restricted blocks, per item:
-    the kernel residual (None if ker(K) = 0), the Hermitianization residual,
-    whether K's block is Hermitian, its `eigh`, E W_G, K, L and E T_F^*."""
+def _stacked_blocks(mat: np.ndarray, bases: np.ndarray, tol: float) -> list[tuple]:
+    """`block_diagonalize`'s stages on a stack of restricted blocks and their
+    bases B, per item: the kernel residual (None if ker(K) = 0), the
+    Hermitianization residual, whether K's block is Hermitian, B E T_F^* B^H,
+    then at m = 1 x_r's residual, Tr K, Tr L and Q, at m >= 2 K's `eigh`, E W_G, K, L."""
     d, t = nk.polar_decomposition(
         np.concatenate((mat[:, 0::2, 0::2], mat[:, 0::2, 1::2], mat[:, 1::2, 0::2])))
     (d_f, _, _), (t_f, t_g, t_h) = np.split(d, 3), np.split(t, 3)
@@ -333,7 +320,48 @@ def _stacked_blocks(mat: np.ndarray, tol: float) -> list[tuple]:
     k_mat, l_mat = herm[:, 0::2, 0::2], herm[:, 0::2, 1::2]
     k_hermitian = nk.frobenius(k_mat - _adj(k_mat)) <= 1e-6 * np.maximum(1.0, nk.frobenius(k_mat))
     kw, kv = np.linalg.eigh((k_mat + _adj(k_mat)) / 2)
-    return list(zip(y_resids, herm_resid, k_hermitian, kw, kv, e_op @ w_g, k_mat, l_mat, s_ik))
+    head = (y_resids, herm_resid, k_hermitian, bases @ s_ik @ _adj(bases))
+    if mat.shape[-1] > 2:
+        return list(zip(*head, kw, kv, e_op @ w_g, k_mat, l_mat))
+    # m = 1: kv = C_r = C_r Z (Z = 1), and x_r = C_r^H E W_G C_r
+    x_r = _adj(kv) @ (e_op @ w_g) @ kv
+    x_resid = nk.frobenius(x_r @ _adj(x_r) - np.eye(1))
+    alpha = np.einsum("ksm,kmt,kts->k", _adj(kv), k_mat, kv)
+    lam = np.einsum("ksm,kmt,kts->k", _adj(kv), l_mat, kv)
+    return list(zip(*head, x_resid, alpha, lam, bases @ (kv @ _adj(kv)) @ _adj(bases)))
+
+
+def _phase_blocks(basis, kw, kv, ew_g, k_mat, l_mat, group_tol: float, limit: float) -> list:
+    """An item's (Q, R) per Schur cluster of x_r = C_r^H E W_G C_r, C_r a group of K's spectrum."""
+    out = []
+    for _, c_r in nk.group_eigenpairs(kw, kv, group_tol):
+        x_r = c_r.conj().T @ ew_g @ c_r
+        x_resid = np.linalg.norm(x_r @ x_r.conj().T - np.eye(x_r.shape[0]))
+        _check("block-phases", "restricted rotation residual", x_resid, limit)
+        t_s, z_s = nk.schur(x_r)
+        betas = np.diag(t_s)
+        used = np.zeros(len(betas), dtype=bool)
+        for s in range(len(betas)):
+            if used[s]:
+                continue
+            cluster = (np.abs(betas - betas[s]) <= group_tol) & ~used
+            used |= cluster
+            zc = c_r @ z_s[:, cluster]
+            alpha = np.einsum("sm,mt,ts->", zc.conj().T, k_mat, zc)
+            lam = np.einsum("sm,mt,ts->", zc.conj().T, l_mat, zc)
+            r_2x2 = _reflection(alpha, lam, zc.shape[1], limit)
+            out.append((basis @ (zc @ zc.conj().T) @ basis.conj().T, r_2x2))
+    return out
+
+
+def _reflection(alpha, lam, rank: int, limit: float) -> np.ndarray:
+    """A cluster's unit-column 2 x 2 factor [a l; l* -a] from alpha = Tr Z^H K Z and lam =
+    Tr Z^H L Z: read off the Hermitian form, as sqrt(1 - a^2) would blow up roundoff near a = 1."""
+    alpha, lam = float(alpha.real) / rank, complex(lam) / rank
+    nrm = math.hypot(alpha, abs(lam))
+    _check("block-phases", "block column norm defect", abs(nrm - 1.0), limit)
+    alpha, lam = alpha / nrm, lam / nrm
+    return np.array([[alpha, lam], [np.conj(lam), -alpha]], dtype=complex)
 
 
 def common_eigenvector(c, d, e, tol: float = DEFAULT_STAGE_TOL) -> np.ndarray:

@@ -101,14 +101,88 @@ class TestEncodedStates:
             assert nk.trace_distance(ens.density(0), ens.density(k)) < 1e-12
 
 
+def overlap_reference(p):
+    """Pairwise Tr(rho_i rho_j) of the encoded states as the six-index
+    contraction of the encoded factors, sum_{alpha,beta} ||F_{j,beta}^H F_{i,alpha}||_F^2."""
+    a1, d, b = p.dims
+    n = len(p.encoders)
+    e = pr._encoded_factors(p).reshape(n, a1, d * b, -1)
+    t = np.einsum("iaur,jbus->iajbrs", e, e.conj())
+    return np.einsum("iajbrs,iajbrs->ij", t, t.conj()).real
+
+
+def criterion_4_scrambles():
+    """Criterion 4's 50 scrambles: dim A' in 1..6, blocks in 1..3, dim B' in 1..4."""
+    for s in range(50):
+        a1 = s % 6 + 1
+        blocks = min(s % 3 + 1, a1)
+        rng = np.random.default_rng([424242, s])
+        yield pr.random_scrambled_bw(rng, a1, max(blocks, s % 4 + 1), blocks)[0]
+
+
+def with_encoder_noise(p, seed, eps):
+    """p with eps * (G + iG') added to each encoder, made unitary again."""
+    rng = np.random.default_rng([6, seed])
+    encoders = tuple(nk.polar_decomposition(u + eps * (rng.standard_normal(u.shape)
+                                                       + 1j * rng.standard_normal(u.shape)))[1]
+                     for u in p.encoders)
+    return pr.Protocol(p.dim_a_prime, p.dim_a_dbl, p.dim_b, p.tau, encoders)
+
+
+def repeated_encoder_protocols():
+    """Bennett-Wiesner with one encoder repeated: the overlap of that pair is 1."""
+    bw = pr.bennett_wiesner()
+    u = bw.encoders
+    return [(pr.Protocol(1, 2, 2, bw.tau, (u[0], u[0], u[2], u[3])), {0, 1}),
+            (pr.Protocol(1, 2, 2, bw.tau, (u[0], u[1], u[2], u[1])), {1, 3})]
+
+
+def overlap_cases():
+    scrambles = list(criterion_4_scrambles())
+    noisy = [with_encoder_noise(p, s, 1e-6) for s, p in enumerate(scrambles)]
+    return scrambles + noisy + [p for p, _ in repeated_encoder_protocols()]
+
+
 class TestVerifyErrorless:
+    def test_overlaps_agree_with_the_contraction(self):
+        # an entry of T = X X^H is an inner product of length n = d dim B,
+        # with rounding of at most about n eps |x_k| |x_l|; an encoder's rows
+        # have sum |x|^2 = Tr tau = 1, so a block sum S of |T|^2 moves by at
+        # most about 2 n eps sqrt(S), in the product and in the reference,
+        # and summing the squares adds a relative error of a few eps
+        eps = np.finfo(float).eps
+        for p in overlap_cases():
+            ref = overlap_reference(p)
+            np.fill_diagonal(ref, 0.0)
+            rep = pr.verify_errorless(p)
+            slack = 4 * p.dim_a_dbl * p.dim_b * eps
+            bound = slack * np.sqrt(ref) + slack**2 + 16 * eps * ref
+            assert abs(rep.max_state_overlap - ref.max()) <= bound.max()
+            assert abs(rep.max_state_overlap - ref[rep.worst_pair]) <= bound.max()
+            # the worst unordered pair is the reference's wherever rounding cannot swap it
+            pairs = sorted((ref[i, j], (i, j)) for i in range(4) for j in range(i + 1, 4))
+            if pairs[-1][0] - pairs[-2][0] > 2 * bound.max():
+                assert set(rep.worst_pair) == set(pairs[-1][1])
+
+    def test_cli_exit_codes_follow_the_contraction(self, tmp_path, capsys):
+        from superdense import cli, serialize
+
+        path = str(tmp_path / "p.json")
+        for p in overlap_cases():
+            ref = overlap_reference(p)
+            np.fill_diagonal(ref, 0.0)
+            serialize.save_protocol(p, path)
+            for tol in (1e-9, 1e-5):
+                ok = ref.max() <= tol and pr.verify_errorless(p, tol).max_operator_violation <= tol
+                assert cli.main(["protocol", "verify", path, "--tol", str(tol)]) == (0 if ok else 1)
+        capsys.readouterr()
+
     def test_duplicate_encoder_fails(self):
-        bw = pr.bennett_wiesner()
-        p = pr.Protocol(1, 2, 2, bw.tau, (bw.encoders[0], bw.encoders[0]) + bw.encoders[2:])
-        rep = pr.verify_errorless(p)
-        assert not rep.passed
-        assert rep.max_state_overlap == pytest.approx(1.0)
-        assert rep.worst_pair in ((0, 1), (1, 0))
+        for p, pair in repeated_encoder_protocols():
+            rep = pr.verify_errorless(p)
+            assert not rep.passed
+            assert rep.max_state_overlap == pytest.approx(1.0)
+            assert set(rep.worst_pair) == pair
 
     def test_scrambles_pass(self):
         for seed in range(5):

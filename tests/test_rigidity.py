@@ -101,6 +101,22 @@ def one_bob_index_protocol(seed):
     return transported(rho, 2, ((np.eye(2, dtype=complex), haar(2, rng), 1),), rng)
 
 
+def mixed_dimension_protocol(split, seed):
+    """rho^{A'} = diag(1/2, 1/4, 1/4) in a Haar basis q of A' (a1 = 3): one
+    1-dimensional and one 2-dimensional eigenspace.  The 2-dimensional one is
+    one rank-two block, or with ``split`` two rank-one blocks."""
+    rng = np.random.default_rng([97, seed])
+    q = haar(3, rng)
+    proj = [np.outer(q[:, r], q[:, r].conj()) for r in range(3)]
+    groups = [[0], [1], [2]] if split else [[0], [1, 2]]
+    weights = [0.5, 0.25, 0.25] if split else [0.5, 0.5]
+    b1 = len(groups)  # block r is paired with B' index r
+    rho = sum(w * np.kron(sum(proj[k] for k in ks), np.diag(np.eye(b1)[r])) / len(ks)
+              for r, (w, ks) in enumerate(zip(weights, groups)))
+    blocks = tuple((sum(proj[k] for k in ks), haar(2, rng), 1) for ks in groups)
+    return transported(rho, 3, blocks, rng)
+
+
 GAP_SWEEP = [
     (tol, delta)
     for tol in (1e-8, 1e-6)
@@ -272,11 +288,25 @@ def block_diagonalize_reference(n, tol=rg.DEFAULT_STAGE_TOL):
 
 
 class TestBlockDiagonalize:
-    @pytest.mark.parametrize("case", ["scrambles", "shared-eigenspace", "two-block"])
+    @pytest.mark.parametrize("case", ["scrambles", "shared-eigenspace", "two-block", "mixed-dimensions",
+                                      "exact-entries"])
     def test_stacks_equal_the_per_item_loop_bits(self, case):
         # eigenspaces of one and of several dimensions, and stacks that mix
-        # items with and without a kernel of K
-        if case == "scrambles":
+        # items with and without a kernel of K.  1-dimensional items take the
+        # stacked closed form, the others group and cluster one by one; exact
+        # +-1 and +-i entries give exact zeros, whose sign a product by 1 + 0j could flip
+        if case == "mixed-dimensions":
+            protos = [mixed_dimension_protocol(split, seed) for split in (False, True) for seed in range(3)]
+        elif case == "exact-entries":
+            phase = np.diag([1, 1j]).astype(complex)
+            projs = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+            protos = [pr.bennett_wiesner()]
+            protos += [block_protocol([np.eye(1, dtype=complex)], [s], np.eye(1, dtype=complex))
+                       for s in (phase, PAULI_X @ phase)]
+            for w0 in (0.7, 0.5):
+                rho = w0 * np.kron(projs[0], projs[0]) + (1 - w0) * np.kron(projs[1], projs[1])
+                protos.append(block_protocol(projs, [ID2, phase], rho))
+        elif case == "scrambles":
             protos = [planted_protocol(a1, b1, k, seed=[90, a1]) for a1, b1, k in
                       ((1, 1, 1), (2, 2, 2), (3, 3, 2), (4, 3, 3), (6, 4, 2))]
             protos = [p for p, _ in protos] + [pr.bennett_wiesner()]
