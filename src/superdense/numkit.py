@@ -225,65 +225,54 @@ def clip_psd_spectrum(w: np.ndarray, slack: float) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-# CBLAS and LAPACKE codes for column-major storage, the lower triangle, no
-# transpose and the conjugate transpose
+# CBLAS and LAPACKE codes for column-major storage, the lower triangle and
+# the conjugate transpose
 _LAPACK_COL_MAJOR = 102
 _CBLAS_LOWER = 122
-_CBLAS_NO_TRANS = 111
 _CBLAS_CONJ_TRANS = 113
 
 
 @functools.cache
-def _openblas_symbol(name: str, loader=ctypes.CDLL):
+def _openblas_symbol(name: str):
     """Function `name` of numpy's own OpenBLAS, or None.
 
     numpy's wheels vendor OpenBLAS with 64-bit integers and a `scipy_`
     symbol prefix in `numpy.libs/`, beside the package; the process has
     already loaded it, so this opens the same copy.  No other library is
-    tried.  Through `ctypes.CDLL` a call releases the interpreter lock,
-    through `ctypes.PyDLL` it holds it.
+    tried.  It is opened through `ctypes.CDLL`, so a call releases the
+    interpreter lock.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
         try:
-            return getattr(loader(path), name)
+            return getattr(ctypes.CDLL(path), name)
         except (OSError, AttributeError):
             continue
     return None
 
 
-def _bind(name: str, argtypes: list, restype, loader=ctypes.CDLL):
-    """`_openblas_symbol(name, loader)` with its C signature set, or None."""
-    fn = _openblas_symbol(name, loader)
+def _bind(name: str, argtypes: list, restype):
+    """`_openblas_symbol(name)` with its C signature set, or None."""
+    fn = _openblas_symbol(name)
     if fn is not None:
         fn.argtypes, fn.restype = argtypes, restype
     return fn
 
 
 @functools.cache
-def _zherk(loader=ctypes.PyDLL):
+def _zherk():
     """CBLAS zherk from numpy's own OpenBLAS, or None.
 
-    By default the call holds the interpreter lock, as SciPy's f2py wrapper
-    does: a d = 8 trial's Gram takes about 40 us, too short to hand the lock
-    to another trial thread and then wait to take it back.  The split Gram
-    binds it through `ctypes.CDLL`, so that its helper thread runs meanwhile.
+    The call holds the interpreter lock, as SciPy's f2py wrapper does: a
+    d = 8 trial's Gram takes about 40 us, too short to hand the lock to
+    another trial thread and then wait to take it back.
     """
-    # (layout, uplo, trans, n, k, alpha, a, lda, beta, c, ldc), integers 64-bit
+    # (layout, uplo, trans, n, k, alpha, a, lda, beta, c, ldc), integers 64-bit;
+    # a PYFUNCTYPE call holds the lock, as a call through `ctypes.PyDLL` does
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    return _bind("scipy_cblas_zherk64_",
-                 [ctypes.c_int] * 3 + [i64, i64, dbl, ptr, i64, dbl, ptr, i64], None, loader)
-
-
-@functools.cache
-def _zgemm():
-    """CBLAS zgemm from numpy's own OpenBLAS, or None; the call releases the
-    interpreter lock."""
-    # (layout, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc),
-    # integers 64-bit, alpha and beta pointers to complex scalars
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    return _bind("scipy_cblas_zgemm64_",
-                 [ctypes.c_int] * 3 + [i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, i64], None)
+    held = ctypes.PYFUNCTYPE(None, *[ctypes.c_int] * 3, i64, i64, dbl, ptr, i64, dbl, ptr, i64)
+    fn = _openblas_symbol("scipy_cblas_zherk64_")
+    return None if fn is None else held(ctypes.cast(fn, ctypes.c_void_p).value)
 
 
 @functools.cache
@@ -303,24 +292,16 @@ def _zheevd_2stage():
     return _bind("scipy_LAPACKE_zheevd_2stage64_", [ctypes.c_int, ch, ch, i64, ptr, i64, ptr], i64)
 
 
-def gram(kets, executor=None) -> np.ndarray:
+def gram(kets) -> np.ndarray:
     """Gram matrix G = Psi^H Psi, G_ij = <psi_i|psi_j>, lower triangle only.
 
     `kets` holds one ket per row: an (m, N) array, read in place when it is
     C-contiguous, or a sequence of kets, stacked once.  The strict upper
     triangle of the result is zero; read it with UPLO="L".  The result is
     Fortran-ordered, as BLAS writes it.
-
-    With an `executor` (a `concurrent.futures` executor with a free thread)
-    and a shape `_gram_splits` admits, the work is split in two: this thread
-    forms the two diagonal blocks with zherk while the executor's thread
-    forms the block below them with zgemm.  The bits are those of the one
-    zherk call.
     """
     rows = np.ascontiguousarray(kets, dtype=complex)
     m, n = rows.shape
-    if executor is not None and _gram_splits(m, n):
-        return _split_gram(rows, executor)
     zherk = _zherk()
     if zherk is None:
         from scipy.linalg import blas
@@ -330,48 +311,6 @@ def gram(kets, executor=None) -> np.ndarray:
     g = np.zeros((m, m), dtype=complex, order="F")
     zherk(_LAPACK_COL_MAJOR, _CBLAS_LOWER, _CBLAS_CONJ_TRANS, m, n,
           1.0, rows.ctypes.data, max(1, n), 0.0, g.ctypes.data, max(1, m))
-    return g
-
-
-def _gram_splits(m: int, n: int) -> bool:
-    """Whether `gram` splits m kets of length n: where the split is known to
-    give the one zherk call's bits, and both calls are in numpy's OpenBLAS.
-
-    Each entry of G is a sum over the ket length n, which OpenBLAS cuts into
-    chunks of its GEMM_Q; a remainder r between Q and 2Q is halved, by zherk
-    as (r + 1) // 2 and by zgemm as r // 2 rounded up to a multiple of its
-    unroll.  With Q a multiple of 8 and an unroll dividing 4, the two agree
-    when 8 divides n.  zherk also computes small tiles on the diagonal on
-    their own; splitting at a multiple of 8 keeps each tile inside one
-    diagonal block.  Checked bit for bit with OpenBLAS 0.3.31 (SkylakeX
-    kernels) at one and two threads: every m from 16 to 600 with n in
-    {8, 64, 136, 256, 264}, every n divisible by 8 up to 1100 with m in
-    {16, 64, 100}, and m = n = d^2 for every d divisible by 4 up to 64.
-    Odd n above 128, or a split off a multiple of 4, changed last bits.
-    """
-    return m >= 16 and n % 8 == 0 and _zherk(ctypes.CDLL) is not None and _zgemm() is not None
-
-
-def _split_gram(rows: np.ndarray, executor) -> np.ndarray:
-    """`gram` of C-contiguous rows, the block below the diagonal on `executor`."""
-    m, n = rows.shape
-    h = m // 16 * 8  # kets in the upper diagonal block, a multiple of 8
-    g = np.zeros((m, m), dtype=complex, order="F")
-    lower = rows[h:]
-
-    def below():
-        # G[h:, :h] = Psi_2^H Psi_1; the closure keeps both arrays alive
-        one, zero = (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)()
-        _zgemm()(_LAPACK_COL_MAJOR, _CBLAS_CONJ_TRANS, _CBLAS_NO_TRANS, m - h, h, n,
-                 one, lower.ctypes.data, n, rows.ctypes.data, n,
-                 zero, g.ctypes.data + h * g.itemsize, m)
-
-    future = executor.submit(below)
-    zherk = _zherk(ctypes.CDLL)
-    for start, size in ((0, h), (h, m - h)):
-        zherk(_LAPACK_COL_MAJOR, _CBLAS_LOWER, _CBLAS_CONJ_TRANS, size, n, 1.0,
-              rows[start:].ctypes.data, n, 0.0, g.ctypes.data + start * (m + 1) * g.itemsize, m)
-    future.result()
     return g
 
 
@@ -460,7 +399,7 @@ def max_entangled(d: int) -> np.ndarray:
 _HAAR_BLOCK = 2**14
 
 
-def haar_unitaries(d: int, m: int, rng: np.random.Generator, executor=None) -> np.ndarray:
+def haar_unitaries(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m independent Haar-distributed d x d unitaries, shape (m, d, d).
 
     Each is the QR factor of a complex Ginibre matrix with the triangular
@@ -468,12 +407,6 @@ def haar_unitaries(d: int, m: int, rng: np.random.Generator, executor=None) -> n
     arXiv:math-ph/0609050).  Draws are taken in stacked blocks, each draw's
     real part then its imaginary part, so the result and the generator's
     state afterwards equal those of m calls to `haar_unitary`.
-
-    With an `executor` (a `concurrent.futures` executor with a free thread),
-    its thread factors every second block, in quarter stacks, while this
-    thread draws all blocks in order and factors the others; at most one
-    block is out at a time.  LAPACK factors each draw on its own, so every
-    draw gets the same QR call on the same input either way.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
@@ -481,8 +414,8 @@ def haar_unitaries(d: int, m: int, rng: np.random.Generator, executor=None) -> n
         raise ValueError(f"draw count must be non-negative, got {m}")
     out = np.empty((m, d, d), dtype=complex)
     step = max(1, _HAAR_BLOCK // (d * d))
-
-    def factor(start: int, g: np.ndarray) -> None:
+    for start in range(0, m, step):
+        g = rng.standard_normal((min(step, m - start), 2, d, d))
         # (g0 + i g1) / sqrt(2) and the phase product in place: the same
         # operations (addition commutes bit for bit), fewer temporaries
         z = 1j * g[:, 1]
@@ -491,28 +424,6 @@ def haar_unitaries(d: int, m: int, rng: np.random.Generator, executor=None) -> n
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=1, axis2=2)
         np.multiply(q, (diag / np.abs(diag))[:, None, :], out=out[start:start + len(g)])
-
-    def factor_in_quarters(start: int, g: np.ndarray) -> None:
-        # a thread's allocator keeps the most that thread ever held: the
-        # helper's quarter stacks hold a quarter of a block's temporaries.
-        # In the random-large benchmark loop (d = 32, one BLAS thread) the
-        # peak RSS read 125.7 MB with them against 126.6-126.8 MB with whole
-        # blocks (4 runs each), for about 5-11 ms more sampling per trial
-        size = -(-len(g) // 4)
-        for i in range(0, len(g), size):
-            factor(start + i, g[i:i + size])
-
-    pending = None
-    for k, start in enumerate(range(0, m, step)):
-        g = rng.standard_normal((min(step, m - start), 2, d, d))
-        if executor is None or k % 2 == 0:
-            factor(start, g)
-            continue
-        if pending is not None:
-            pending.result()
-        pending = executor.submit(factor_in_quarters, start, g)
-    if pending is not None:
-        pending.result()
     return out
 
 

@@ -293,11 +293,12 @@ def pgm_from_eigh(w: np.ndarray, v: np.ndarray, tol: float = nk.DEFAULT_TOL) -> 
     from the eigendecomposition G = V diag(w) V^H of its Gram matrix.
 
     (sqrt G)_{ii} = sum_k |V_{ik}|^2 sqrt(w_k), so the diagonal costs O(m^2)
-    and sqrt G is never formed.  As in `numkit.psd_sqrt`, an eigenvalue below
-    -max(tol, 1e-8) * max(1, ||G||_F) raises ValueError; ||G||_F is taken
-    from the spectrum.  Eigenvalues at or below m * eps * max(w) are rounding
-    noise of a rank-deficient G (more kets than dimensions) and count as 0;
-    their square roots, near sqrt(eps), would bias the result upward.
+    and sqrt G is never formed.  `numkit.clip_psd_spectrum` raises ValueError
+    on an eigenvalue below -max(tol, 1e-8) * max(1, ||G||_F); ||G||_F is
+    taken from the spectrum.  Eigenvalues at or below m * eps * max(w) are
+    rounding noise of a rank-deficient G (more kets than dimensions) and
+    count as 0; their square roots, near sqrt(eps), would bias the result
+    upward.
     """
     w = nk.clip_psd_spectrum(w, max(tol, 1e-8) * max(1.0, float(np.linalg.norm(w))))
     w[w <= w.size * np.finfo(float).eps * w.max(initial=0.0)] = 0.0

@@ -16,16 +16,7 @@ Hermitian eigensolve of G feeds both the spectrum and the PGM
 with LAPACK's two-stage solver (`numkit.hermitian_eigenvalues`).  Both
 check the spectrum against G's trace and Frobenius norm.  Trials are
 independent, so `distinguishability_experiment` runs them on the CPUs that
-BLAS leaves idle.  Where they run on one worker and BLAS leaves a second
-CPU free, as for one trial at one BLAS thread on two CPUs, each trial of
-at least `_HELPER_MIN_KETS` kets also gets a helper thread: it QR-factors
-every second Haar block and forms the Gram block below the diagonal.
-Each block gets the same LAPACK or BLAS call on the same input either
-way, so no bit of the output changes.  At d = 32 that took one trial at
-one BLAS thread from 434 to 381 ms (medians of 21 alternating in-process
-calls on a 2-vCPU Xeon, numpy 2.4.6 with OpenBLAS 0.3.31): sampling
-83 -> 64 ms, the Gram 80 -> 55 ms; the eigensolve stays on the trial's
-thread.
+BLAS leaves idle.
 """
 
 from __future__ import annotations
@@ -49,12 +40,6 @@ from .protocol import StateEnsemble, pgm_from_eigh
 from .protocol import pgm_success  # noqa: F401
 
 EIGHT_OVER_3PI = 8.0 / (3.0 * math.pi)
-
-# kets per trial (d = 20) from which a trial may get a helper thread.  One
-# trial at one BLAS thread, in-process, helper on against off, medians of 41
-# to 61 alternating calls: d = 8 +20 %, 12 +10 %, 16 -0.2 %, 17 -0.4 %,
-# 18 +2.6 %, 19 -1.2 %, 20 -6.4 %, 22 -4.0 %, 24 -8.5 %, 32 -12.3 %
-_HELPER_MIN_KETS = 20 * 20
 
 # complex entries that concurrent trials may hold together; a running trial
 # holds about 3 n^2 (kets, Gram matrix, solver copy or eigenvectors).  2^24
@@ -109,46 +94,43 @@ class ExperimentStats:
     first_spectrum: tuple[float, ...]
 
 
-def random_protocol_ensemble(d: int, rng: np.random.Generator, *, executor=None) -> StateEnsemble:
+def random_protocol_ensemble(d: int, rng: np.random.Generator) -> StateEnsemble:
     """Uniform ensemble of n = d^2 states (U_i (x) 1)|mes_d> with Haar U_i.
 
     Uses the identity (U (x) 1)|mes_d> = vec(U)/sqrt(d) (row-major vec).
     The states are the rows of one (n, n) array, as the sampler returns them.
-    `executor` is passed to `haar_unitaries`.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     n = d * d
-    kets = haar_unitaries(d, n, rng, executor).reshape(n, n)
+    kets = haar_unitaries(d, n, rng).reshape(n, n)
     kets /= np.sqrt(d)
     return StateEnsemble(probs=(1.0 / n,) * n, states=kets)
 
 
-def esd(e: StateEnsemble, *, executor=None) -> np.ndarray:
+def esd(e: StateEnsemble) -> np.ndarray:
     """Eigenvalues of the Gram matrix G = Psi^H Psi of a pure ensemble's kets,
     sorted descending.
 
     G shares its nonzero eigenvalues with the unnormalized ensemble average
     Q = sum |psi><psi|; for the d^2 kets of a random protocol both are
     d^2 x d^2, so this is Q's spectrum.  It is checked as by `check_spectrum`,
-    from G's sums taken before the eigensolve overwrites G.  `executor` is
-    passed to `numkit.gram`.
+    from G's sums taken before the eigensolve overwrites G.
     """
-    g = nk.gram(e.kets(), executor)
+    g = nk.gram(e.kets())
     sums = _gram_sums(g)
     w = nk._eigvalsh_overwrite(g)
     _check_sums(w, *sums)
     return w[::-1].copy()
 
 
-def spectrum_and_pgm(kets, *, executor=None) -> tuple[np.ndarray, float]:
+def spectrum_and_pgm(kets) -> tuple[np.ndarray, float]:
     """`esd` and `pgm_success` of a uniform ensemble from one eigensolve.
 
     `kets` holds one ket per row.  One `eigh` of their Gram matrix gives the
     descending spectrum and, through `pgm_from_eigh`, the PGM success.
-    `executor` is passed to `numkit.gram`.
     """
-    g = nk.gram(kets, executor)
+    g = nk.gram(kets)
     w, v = np.linalg.eigh(g, UPLO="L")
     check_spectrum(w, g)
     return w[::-1].copy(), pgm_from_eigh(w, v)
@@ -329,26 +311,19 @@ def distinguishability_experiment(
     second draw.  With more than one worker (`_trial_workers`) the trials run
     on a thread pool; no trial's arithmetic changes, and the results are
     gathered in trial order, so the statistics do not depend on the worker
-    count.  With one worker where BLAS leaves a second CPU free, each trial
-    of at least `_HELPER_MIN_KETS` kets also gets a helper thread for its
-    sampling and its Gram matrix (`_trial_workers`); no bit changes with it
-    either.
+    count.  With one worker the trials run one after another in the calling
+    thread.
     """
     if d < 2 or trials < 1:
         raise ValueError("need d >= 2 and at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    n = d * d
     trial = functools.partial(_trial, d, seed, pgm_limit)
-    workers = _trial_workers(n, trials)
+    workers = _trial_workers(d * d, trials)
     if workers > 1:
         results = _run_trials(trial, trials, workers)
-    elif n < _HELPER_MIN_KETS or (_blas_slots() or 0) < 2:
-        results = [trial(t) for t in range(trials)]
     else:
-        # leaving the block waits for a helper task still running
-        with ThreadPoolExecutor(1) as helper:
-            results = [trial(t, executor=helper) for t in range(trials)]
+        results = [trial(t) for t in range(trials)]
     hcs, pgms, maxes, spectra = zip(*results)
     ks = kolmogorov_distance(np.concatenate(spectra), MPParams(r=1.0))
     return ExperimentStats(
@@ -366,15 +341,13 @@ def distinguishability_experiment(
     )
 
 
-def _trial(d: int, seed: int, pgm_limit: int, t: int, executor=None):
-    """Trial t of `distinguishability_experiment`: (hc, pgm, max_eig, spectrum).
-
-    `executor`, if given, is the trial's helper for sampling and the Gram."""
-    ens = random_protocol_ensemble(d, np.random.default_rng([seed, t]), executor=executor)
+def _trial(d: int, seed: int, pgm_limit: int, t: int):
+    """Trial t of `distinguishability_experiment`: (hc, pgm, max_eig, spectrum)."""
+    ens = random_protocol_ensemble(d, np.random.default_rng([seed, t]))
     if d <= pgm_limit:
-        w, pgm = spectrum_and_pgm(ens.kets(), executor=executor)
+        w, pgm = spectrum_and_pgm(ens.kets())
     else:
-        w, pgm = esd(ens, executor=executor), None
+        w, pgm = esd(ens), None
     return mean_sqrt_esd(w), pgm, float(w[0]), w
 
 
@@ -428,18 +401,7 @@ def _trial_workers(n: int, trials: int) -> int:
     the OpenBLAS thread count cannot be read.  That count governs every call
     in a trial: the Gram's zherk and the eigensolves all run in numpy's
     OpenBLAS.  Trials share no state, and their LAPACK calls release the
-    interpreter lock.  Where this gives one worker and the slots are at
-    least 2, as at one BLAS thread on two CPUs for `--trials 1` or for
-    d >= 41 (through the memory cap), each trial of at least
-    `_HELPER_MIN_KETS` kets gets one helper thread, shared by the trials in
-    turn.  A pool of two or more workers gets no helpers: that case was not
-    measured, and its workers pin themselves to CPUs that a helper thread
-    created from them would inherit.  The helper QR-factors every second
-    Haar block (`numkit.haar_unitaries`) and forms the Gram block below the
-    diagonal with zgemm (`numkit.gram`); the blocks get the same calls on
-    the same inputs, so no bit changes.  One d = 32 trial at one BLAS
-    thread took 381 ms with it against 434 ms without (medians of 21
-    alternating in-process calls, 2-vCPU Xeon).
+    interpreter lock.
     """
     slots = _blas_slots()
     if slots is None:

@@ -1,8 +1,6 @@
-import ctypes
 import functools
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -341,62 +339,6 @@ class TestPsdSpectrumAndGram:
                     assert same_bits(nk.gram(kets), g), path
 
 
-class CountingExecutor(ThreadPoolExecutor):
-    """One helper thread that counts the tasks it was given."""
-
-    def __init__(self):
-        super().__init__(1)
-        self.tasks = 0
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(fn, *args, **kwargs)
-
-
-class TestSplitGram:
-    """`gram` with a helper thread: the bits of one zherk call."""
-
-    @pytest.mark.parametrize("m, n", [(2, 16), (3, 5), (255, 264), (256, 136), (256, 300),
-                                      (257, 8), (257, 256), (1024, 1032), (1024, 1024)])
-    def test_equals_one_zherk(self, m, n):
-        if nk._zgemm() is None:
-            pytest.skip("numpy's OpenBLAS has no zgemm")
-        rng = np.random.default_rng([67, m, n])
-        rows = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        ref = nk.gram(rows)
-        strided = np.repeat(rows, 2, axis=0)[::2]  # the same kets, not C-contiguous
-        with CountingExecutor() as pool:
-            for kets in (rows, tuple(rows), strided):
-                g = nk.gram(kets, pool)
-                assert same_bits(g, ref) and g.flags.f_contiguous
-                assert not np.triu(g, 1).any()
-        # the helper took the block below the diagonal exactly where the rule allows
-        assert pool.tasks == (3 if nk._gram_splits(m, n) else 0)
-
-    @pytest.mark.parametrize("d", [20, 24, 28, 36, 40, 44, 48])
-    def test_equals_one_zherk_at_d_squared(self, d):
-        # the d^2 kets of d^2 entries that `random run` splits from d = 20,
-        # those with 4 | d (1024 = 32^2 is above), checked at the running
-        # machine's BLAS kernels and thread count
-        if nk._zgemm() is None:
-            pytest.skip("numpy's OpenBLAS has no zgemm")
-        n = d * d
-        assert nk._gram_splits(n, n)
-        rng = np.random.default_rng([67, d])
-        rows = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        with CountingExecutor() as pool:
-            assert same_bits(nk.gram(rows, pool), nk.gram(rows))
-        assert pool.tasks == 1
-
-    def test_split_rule(self):
-        if nk._zgemm() is None:
-            pytest.skip("numpy's OpenBLAS has no zgemm")
-        assert nk._gram_splits(1024, 1024) and nk._gram_splits(16, 8)
-        assert not nk._gram_splits(15, 8)        # a diagonal block of fewer than 8 kets
-        assert not nk._gram_splits(1024, 1025)   # a ket length OpenBLAS blocks differently
-        assert nk._zherk(ctypes.CDLL) is not nk._zherk()
-
-
 class TestSchur:
     """`nk.schur` against `scipy.linalg.schur(a, output="complex")`, the reference."""
 
@@ -531,18 +473,6 @@ class TestHaarUnitaries:
             assert same_bits(nk.haar_unitaries(d, m, rng), expected)
             # the same state, so the generator's next draw is the same too
             assert rng.bit_generator.state == states[m]
-
-    @pytest.mark.parametrize("d", [1, 2, 8, 17, 32])
-    def test_helper_keeps_bits_and_stream(self, d, monkeypatch):
-        # four draws a block, so a few draws cross several block boundaries
-        monkeypatch.setattr(nk, "_HAAR_BLOCK", 4 * d * d)
-        with CountingExecutor() as pool:
-            for m in (0, 1, 4, 5, 8, 9, 13):
-                rng, rng2 = np.random.default_rng([71, d, m]), np.random.default_rng([71, d, m])
-                assert same_bits(nk.haar_unitaries(d, m, rng, pool), nk.haar_unitaries(d, m, rng2))
-                assert same_bits(rng.standard_normal(3), rng2.standard_normal(3))
-        # every second block of 4 draws went to the helper
-        assert pool.tasks == sum((m + 3) // 4 // 2 for m in (0, 1, 4, 5, 8, 9, 13))
 
     def test_single_draw(self):
         rng, rng2 = np.random.default_rng(43), np.random.default_rng(43)

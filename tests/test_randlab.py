@@ -401,6 +401,32 @@ class TestTrialPool:
         monkeypatch.setattr(rl.os, "cpu_count", lambda: 6)
         assert rl._trial_workers(64, 40) == 6
 
+    def test_only_a_pool_starts_threads(self, monkeypatch):
+        # two BLAS slots leave a CPU idle; a lone trial still runs on the
+        # calling thread, and only two or more workers make a thread pool
+        made, ran_on = [], []
+
+        class Recorder(rl.ThreadPoolExecutor):
+            def __init__(self, workers):
+                made.append(workers)
+                super().__init__(workers)
+
+        real = rl._trial
+
+        def trial(*args, **kwargs):
+            ran_on.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rl, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(rl, "_trial", trial)
+        monkeypatch.setattr(rl, "_blas_slots", lambda: 2)
+        start = threading.active_count()
+        rl.distinguishability_experiment(20, 1, seed=1)
+        assert made == [] and ran_on == [threading.current_thread()]
+        assert threading.active_count() == start
+        rl.distinguishability_experiment(20, 2, seed=1)
+        assert made == [2]
+
     def test_blas_threads_reads_numpys_openblas(self):
         if nk._zheevd_2stage() is None:
             pytest.skip("numpy is not linked against its vendored OpenBLAS")
@@ -433,61 +459,3 @@ class TestTrialPool:
             rl.distinguishability_experiment(2, 40, seed=0)
         # trials 0-2 finish, and no worker starts another
         assert sorted(started) == [0, 1, 2]
-
-
-class TestTrialHelper:
-    """A lone trial's helper thread: Haar blocks and part of the Gram matrix."""
-
-    @staticmethod
-    def force(monkeypatch, on: bool):
-        # two BLAS slots for one worker is the helper's condition; the size
-        # constant then decides
-        monkeypatch.setattr(rl, "_blas_slots", lambda: 2)
-        monkeypatch.setattr(rl, "_HELPER_MIN_KETS", 0 if on else 10**9)
-
-    @pytest.mark.parametrize("d", [2, 16, 17, 32])  # one Haar block; PGM path; odd n; criterion 5
-    def test_stats_do_not_depend_on_helper(self, d, monkeypatch):
-        runs = []
-        for on in (False, True):
-            with monkeypatch.context() as mp:
-                self.force(mp, on)
-                runs.append(rl.distinguishability_experiment(d, 1, seed=73))
-        for field in dataclasses.fields(rl.ExperimentStats):
-            assert repr(getattr(runs[0], field.name)) == repr(getattr(runs[1], field.name))
-
-    def test_helper_rule(self, monkeypatch):
-        made = []
-
-        class Recorder(rl.ThreadPoolExecutor):
-            def __init__(self, workers):
-                made.append(workers)
-                super().__init__(workers)
-
-        monkeypatch.setattr(rl, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(rl, "_blas_slots", lambda: 2)
-        d = math.isqrt(rl._HELPER_MIN_KETS - 1) + 1  # the smallest d with a helper
-        rl.distinguishability_experiment(d - 1, 1, seed=1)  # below the size constant
-        rl.distinguishability_experiment(d, 2, seed=1)      # two workers, one slot each
-        assert made == [2]  # only the trial pool
-        rl.distinguishability_experiment(d, 1, seed=1)
-        assert made == [2, 1]  # one helper for the lone trial
-        monkeypatch.setattr(rl, "_blas_slots", lambda: 4)
-        rl.distinguishability_experiment(d, 2, seed=1)      # two workers, two slots each
-        assert made == [2, 1, 2]  # a pool gets no helpers
-
-    def test_helper_failure_propagates_and_threads_end(self, monkeypatch):
-        start = threading.active_count()
-        self.force(monkeypatch, True)
-        rl.distinguishability_experiment(17, 1, seed=5)
-        assert threading.active_count() == start
-        real_qr = np.linalg.qr
-
-        def qr(a, *args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise np.linalg.LinAlgError("QR on the helper")
-            return real_qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", qr)
-        with pytest.raises(np.linalg.LinAlgError, match="QR on the helper"):
-            rl.distinguishability_experiment(17, 1, seed=5)
-        assert threading.active_count() == start
