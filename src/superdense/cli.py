@@ -12,7 +12,6 @@ the same BLAS thread count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import functools
 import math
@@ -79,7 +78,7 @@ def _cmd_basis_certify(args) -> int:
     except bases.InvalidBasisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    serialize.emit({"certificates": [dataclasses.asdict(c) for c in certs]}, args.output)
+    serialize.emit({"certificates": certs}, args.output)
     return 0
 
 
@@ -118,14 +117,17 @@ def _cmd_random_run(args) -> int:
     for path in (args.output, args.esd_csv):  # fail before the trials, not after
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    for path in (args.esd_csv, args.output):  # in the order they are written
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     stats = randlab.distinguishability_experiment(
         args.d, args.trials, args.seed, pgm_limit=args.pgm_limit
     )
     if args.esd_csv:
         serialize.save_eigenvalues_csv(stats.first_spectrum, args.esd_csv)
-    doc = dataclasses.asdict(stats)
+    doc = dict(vars(stats), limit_8_over_3pi=randlab.EIGHT_OVER_3PI)
     del doc["first_spectrum"]
-    serialize.emit({**doc, "limit_8_over_3pi": randlab.EIGHT_OVER_3PI}, args.output)
+    serialize.emit(doc, args.output)
     return 0
 
 

@@ -263,9 +263,9 @@ def _bind(name: str, argtypes: list, restype):
 def _zherk():
     """CBLAS zherk from numpy's own OpenBLAS, or None.
 
-    The call holds the interpreter lock, as SciPy's f2py wrapper does: a
-    d = 8 trial's Gram takes about 40 us, too short to hand the lock to
-    another trial thread and then wait to take it back.
+    The call holds the interpreter lock, as SciPy's f2py wrapper does: the
+    Gram of a small trial, the kind that runs on several threads, is too
+    short to hand the lock to another trial thread and then wait for it.
     """
     # (layout, uplo, trans, n, k, alpha, a, lda, beta, c, ldc), integers 64-bit;
     # a PYFUNCTYPE call holds the lock, as a call through `ctypes.PyDLL` does

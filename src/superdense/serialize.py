@@ -30,27 +30,44 @@ class SerializationError(ValueError):
         self.field = field
 
 
+def _complex_array(data: Any, depth: int) -> np.ndarray:
+    """`data`, lists `depth` deep whose innermost entries are [re, im] pairs of
+    finite JSON numbers, as one complex array of that many axes: a matrix at
+    depth 2, a stack of matrices of one shape at depth 3.
+
+    Only the outermost list is checked as one: JSON's other containers
+    iterate as strings, which fail the pair length or the type set of the
+    entries.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of rows, got {type(data).__name__}")
+    levels = [data]
+    for _ in range(depth - 1):
+        levels.append(list(itertools.chain.from_iterable(levels[-1])))
+    pairs = levels.pop()
+    if not pairs:
+        raise ValueError("empty matrix")
+    shape = [len(data)]
+    for level in levels:
+        shape.append(len(level[0]))
+        if any(len(item) != shape[-1] for item in level):
+            raise ValueError("ragged rows")
+    if set(map(len, pairs)) != {2}:
+        raise ValueError("entries must be [re, im] pairs")
+    parts = list(itertools.chain.from_iterable(pairs))
+    # exact types: JSON true/false load as bool, a subclass of int
+    if not set(map(type, parts)) <= {int, float}:
+        raise ValueError("entries must be JSON numbers")
+    m = np.array(parts, dtype=float).view(complex).reshape(shape)
+    # Python's json reads NaN and Infinity, which are not JSON
+    if not np.isfinite(m).all():
+        raise ValueError("entries must be finite, not NaN or Infinity")
+    return m
+
+
 def matrix_from_json(data: Any, path: str, field: str) -> np.ndarray:
     try:
-        if not isinstance(data, list):
-            raise ValueError(f"expected a list of rows, got {type(data).__name__}")
-        pairs = list(itertools.chain.from_iterable(data))
-        if not pairs:
-            raise ValueError("empty matrix")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        if set(map(len, pairs)) != {2}:
-            raise ValueError("entries must be [re, im] pairs")
-        parts = list(itertools.chain.from_iterable(pairs))
-        # exact types: JSON true/false load as bool, a subclass of int
-        if not set(map(type, parts)) <= {int, float}:
-            raise ValueError("entries must be JSON numbers")
-        m = np.array(parts, dtype=float).view(complex).reshape(len(data), width)
-        # Python's json reads NaN and Infinity, which are not JSON
-        if not np.isfinite(m).all():
-            raise ValueError("entries must be finite, not NaN or Infinity")
-        return m
+        return _complex_array(data, 2)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(path, field, f"not a valid complex matrix: {exc}") from exc
 
@@ -100,12 +117,14 @@ def _matrix(m: np.ndarray, level: int) -> str:
 
 def _encode(obj: Any, level: int) -> str:
     """`obj` as json.dumps(obj, indent=1) writes it `level` containers deep,
-    with an ndarray written as a complex matrix and a complex number as a
-    [re, im] pair."""
+    with a dataclass instance written as its fields, an ndarray as a complex
+    matrix and a complex number as a [re, im] pair."""
     if isinstance(obj, np.ndarray):
         return _matrix(obj, level)
     if isinstance(obj, complex):
         obj = [obj.real, obj.imag]
+    elif dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON object keys must be strings")
@@ -124,12 +143,10 @@ def _encode(obj: Any, level: int) -> str:
 
 def emit(doc: Any, path: str | None = None) -> None:
     """Write `doc` as JSON to a file or stdout, byte for byte as
-    json.dumps(doc, indent=1) writes its list form: a dataclass becomes its
-    field dict, an ndarray a matrix of [re, im] pairs and a complex number
-    a [re, im] pair.  Floats are written by repr, NaN and infinities as
-    json's NaN and Infinity tokens."""
-    if dataclasses.is_dataclass(doc):
-        doc = dataclasses.asdict(doc)
+    json.dumps(doc, indent=1) writes its list form: a dataclass instance
+    becomes its field dict, an ndarray a matrix of [re, im] pairs and a
+    complex number a [re, im] pair.  Floats are written by repr, NaN and
+    infinities as json's NaN and Infinity tokens."""
     write_text(_encode(doc, 0) + "\n", path)
 
 
@@ -158,30 +175,15 @@ def save_basis(b: UnitaryBasis, path: str | None) -> None:
     emit(doc, path)
 
 
-def _square_stack(data: list, d: int) -> np.ndarray | None:
-    """The matrices of `data` as one (len(data), d, d) array, read in one
-    pass over their flattened entries, or None unless every one is a d x d
-    complex matrix that matrix_from_json would accept.
-
-    Only lists hold other values here: JSON's other containers iterate as
-    strings, which fail the type set of the entries.
-    """
+def _matrix_list(doc: dict, key: str, path: str) -> list[np.ndarray]:
+    """The matrices of the list field `key`, read in one pass when they share
+    a shape.  Otherwise they are read one by one, so that an error names the
+    first bad matrix, `key[k]`."""
+    data = _require_list(doc, key, path)
     try:
-        if any(len(m) != d for m in data):
-            return None
-        rows = list(itertools.chain.from_iterable(data))
-        if set(map(len, rows)) != {d}:
-            return None
-        pairs = list(itertools.chain.from_iterable(rows))
-        if set(map(len, pairs)) != {2}:
-            return None
-        parts = list(itertools.chain.from_iterable(pairs))
-        if not set(map(type, parts)) <= {int, float}:
-            return None
-        m = np.array(parts, dtype=float).view(complex).reshape(len(data), d, d)
-    except (TypeError, OverflowError):
-        return None
-    return m if np.isfinite(m).all() else None
+        return list(_complex_array(data, 3))
+    except (TypeError, ValueError, OverflowError):
+        return [matrix_from_json(m, path, f"{key}[{k}]") for k, m in enumerate(data)]
 
 
 def load_basis(path: str) -> UnitaryBasis:
@@ -189,17 +191,10 @@ def load_basis(path: str) -> UnitaryBasis:
     d = _require(doc, "d", path)
     if not _is_positive_int(d):
         raise SerializationError(path, "d", f"expected a positive integer, got {d!r}")
-    data = _require_list(doc, "elements", path)
-    stack = _square_stack(data, d)
-    if stack is not None:
-        elements = list(stack)
-    else:  # the per-element reader names the first bad element
-        elements = [matrix_from_json(e, path, f"elements[{k}]") for k, e in enumerate(data)]
-        for k, e in enumerate(elements):
-            if e.shape != (d, d):
-                raise SerializationError(
-                    path, f"elements[{k}]", f"shape {e.shape} is not {d}x{d}"
-                )
+    elements = _matrix_list(doc, "elements", path)
+    for k, e in enumerate(elements):  # after the reads: an entry error comes first
+        if e.shape != (d, d):
+            raise SerializationError(path, f"elements[{k}]", f"shape {e.shape} is not {d}x{d}")
     labels = doc.get("labels")
     if labels is not None and not (
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)
@@ -216,14 +211,7 @@ def load_basis(path: str) -> UnitaryBasis:
 
 
 def save_protocol(p: Protocol, path: str) -> None:
-    doc = {
-        "dim_a_prime": p.dim_a_prime,
-        "dim_a_dbl": p.dim_a_dbl,
-        "dim_b": p.dim_b,
-        "tau": p.tau,
-        "encoders": p.encoders,
-    }
-    emit(doc, path)
+    emit(p, path)  # the file's fields are the protocol's, in order
 
 
 def load_protocol(path: str) -> Protocol:
@@ -235,10 +223,7 @@ def load_protocol(path: str) -> Protocol:
             raise SerializationError(path, key, f"expected a positive integer, got {val!r}")
         dims[key] = val
     tau = matrix_from_json(_require(doc, "tau", path), path, "tau")
-    encoders = tuple(
-        matrix_from_json(u, path, f"encoders[{k}]")
-        for k, u in enumerate(_require_list(doc, "encoders", path))
-    )
+    encoders = tuple(_matrix_list(doc, "encoders", path))
     p = Protocol(dims["dim_a_prime"], dims["dim_a_dbl"], dims["dim_b"], tau, encoders)
     try:
         p.validate()
@@ -248,27 +233,15 @@ def load_protocol(path: str) -> Protocol:
 
 
 def save_decomposition(dec: CanonicalDecomposition, path: str) -> None:
-    doc = {
-        "v": dec.v,
-        "w": dec.w,
-        "c": dec.c,
-        "rho": dec.rho,
-        "blocks": [
-            {"p": p, "s": s, "sign": int(sign)}
-            for p, s, sign in dec.blocks
-        ],
-    }
-    emit(doc, path)
+    blocks = [{"p": p, "s": s, "sign": int(sign)} for p, s, sign in dec.blocks]
+    emit({"v": dec.v, "w": dec.w, "c": dec.c, "rho": dec.rho, "blocks": blocks}, path)
 
 
 def load_decomposition(path: str) -> CanonicalDecomposition:
     doc = _load_json(path)
     v = matrix_from_json(_require(doc, "v", path), path, "v")
     w = matrix_from_json(_require(doc, "w", path), path, "w")
-    c = tuple(
-        matrix_from_json(m, path, f"c[{k}]")
-        for k, m in enumerate(_require_list(doc, "c", path))
-    )
+    c = tuple(_matrix_list(doc, "c", path))
     rho = matrix_from_json(_require(doc, "rho", path), path, "rho")
     blocks = []
     for k, blk in enumerate(_require_list(doc, "blocks", path)):

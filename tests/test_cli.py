@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -157,6 +158,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "x.out" in captured.err
+        # an output that is a directory fails there too, with the message open() gives
+        assert main(["random", "run", "--d", "2", "--trials", "1", flag, str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
+        )
 
     def test_directory_input_is_usage_error(self, tmp_path, capsys):
         assert main(["basis", "certify", str(tmp_path)]) == 2
@@ -542,6 +548,69 @@ class TestBasisLoaderErrors:
         for k, e in enumerate(doc["elements"]):
             ref = serialize.matrix_from_json(e, str(path), f"elements[{k}]")
             assert ref.tobytes() == loaded.elements[k].tobytes()
+
+
+class TestMatrixListErrors:
+    """`encoders` and `c` are read as `elements` is: in one pass, and one by
+    one only to name the first bad matrix, in the per-element message."""
+
+    CASES = {case: TestBasisLoaderErrors.CASES[case]
+             for case in ("bool", "string", "nan", "inf", "-inf", "ragged", "triple", "single")}
+
+    @staticmethod
+    def write(tmp_path, key, edits):
+        # dim A' = 3: each encoder is 6x6 and each correction 3x3
+        proto, dec = pr.random_scrambled_bw(np.random.default_rng(5), 3, 2, 2)
+        path = tmp_path / f"{key}.json"
+        if key == "encoders":
+            serialize.save_protocol(proto, str(path))
+        else:
+            serialize.save_decomposition(dec, str(path))
+        doc = json.loads(read(path))
+        for k, edit in edits:
+            edit(doc[key][k])
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity, as Python's json allows
+        return path
+
+    @pytest.mark.parametrize("command", ["verify", "canonicalize"])
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_message_names_the_encoder(self, case, k, command, tmp_path, capsys):
+        edit, detail = self.CASES[case]
+        path = self.write(tmp_path, "encoders", [(k, edit)])
+        assert main(["protocol", command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: field 'encoders[{k}]': {detail}\n")
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_message_names_the_correction(self, case, k, tmp_path):
+        edit, detail = self.CASES[case]
+        path = self.write(tmp_path, "c", [(k, edit)])
+        with pytest.raises(serialize.SerializationError) as info:
+            serialize.load_decomposition(str(path))
+        assert str(info.value) == f"{path}: field 'c[{k}]': {detail}"
+
+    def test_row_counts_that_fill_a_stack_are_read_one_by_one(self, tmp_path, capsys):
+        # encoders of 6, 5, 7 and 6 rows hold as many rows as four 6x6 matrices
+        path = tmp_path / "p.json"
+        serialize.save_protocol(pr.random_scrambled_bw(np.random.default_rng(5), 3, 2, 2)[0],
+                                str(path))
+        doc = json.loads(read(path))
+        doc["encoders"][2].append(doc["encoders"][1].pop())
+        path.write_text(json.dumps(doc))
+        assert main(["protocol", "verify", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: field 'encoders[1]': shape (5, 6) is not 6x6\n"
+        )
+
+    def test_entry_error_is_reported_before_an_earlier_shape_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, "encoders",
+                          [(1, _crop_to_2x2), (3, _set_entry([float("nan"), 0.0]))])
+        assert main(["protocol", "verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {path}: field 'encoders[3]': "
+            "not a valid complex matrix: entries must be finite, not NaN or Infinity\n"
+        ))
 
 
 class TestParserReuse:
