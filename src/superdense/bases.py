@@ -1,17 +1,16 @@
 """Orthogonal unitary bases and non-equivalence certificates.
 
 A basis here is a set of d^2 unitaries on C^d that are pairwise orthogonal
-under the Hilbert-Schmidt inner product.  Besides the clock/shift family,
-the module constructs bases from disjoint perfect matchings of K_{d,d} and
-from the dimension-3 phase-twist family, and certifies that they cannot be
-mapped onto the clock/shift basis by any (phases, left unitary, right
-unitary) equivalence.
+under the Hilbert-Schmidt inner product, held as one (d^2, d, d) array.
+Besides the clock/shift family, the module constructs bases from disjoint
+perfect matchings of K_{d,d} and from the dimension-3 phase-twist family,
+and certifies that they cannot be mapped onto the clock/shift basis by any
+(phases, left unitary, right unitary) equivalence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,23 +33,17 @@ class InvalidBasisError(ValueError):
 @dataclass(frozen=True)
 class UnitaryBasis:
     d: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray  # (d^2, d, d), np.asarray of the sequence passed in
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", np.asarray(self.elements))
         if len(self.elements) != self.d * self.d:
             raise ValueError(
                 f"need {self.d * self.d} elements for dimension {self.d}, got {len(self.elements)}"
             )
         if self.labels is not None and len(self.labels) != len(self.elements):
             raise ValueError("labels length must match element count")
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The elements as one read-only (d^2, d, d) array, stacked once."""
-        e = np.stack(self.elements)
-        e.flags.writeable = False
-        return e
 
 
 @dataclass(frozen=True)
@@ -86,28 +79,26 @@ def clock_shift_basis(d: int) -> UnitaryBasis:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     x, z = shift_matrix(d), clock_matrix(d)
-    elements, labels = [], []
+    elements, labels = np.empty((d * d, d, d), dtype=complex), []
     xi = np.eye(d, dtype=complex)
     for i in range(d):
         zj = np.eye(d, dtype=complex)
         for j in range(d):
-            elements.append(xi @ zj)
+            elements[i * d + j] = xi @ zj
             labels.append(f"X^{i}Z^{j}")
             zj = zj @ z
         xi = xi @ x
-    return UnitaryBasis(d=d, elements=tuple(elements), labels=tuple(labels))
+    return UnitaryBasis(d=d, elements=elements, labels=tuple(labels))
 
 
 def tensor_product_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
-    """All pairwise tensor products; orthogonality is inherited from the factors."""
-    elements, labels = [], []
-    for i, e1 in enumerate(b1.elements):
-        for j, e2 in enumerate(b2.elements):
-            elements.append(nk.tensor(e1, e2))
-            l1 = b1.labels[i] if b1.labels else str(i)
-            l2 = b2.labels[j] if b2.labels else str(j)
-            labels.append(f"({l1})x({l2})")
-    return UnitaryBasis(d=b1.d * b2.d, elements=tuple(elements), labels=tuple(labels))
+    """All pairwise tensor products, b1's index slow; orthogonality is inherited."""
+    d = b1.d * b2.d
+    elements = nk.tensor(b1.elements[:, None], b2.elements[None, :]).reshape(-1, d, d)
+    l1 = b1.labels or [str(i) for i in range(len(b1.elements))]
+    l2 = b2.labels or [str(j) for j in range(len(b2.elements))]
+    labels = tuple(f"({x})x({y})" for x in l1 for y in l2)
+    return UnitaryBasis(d=d, elements=elements, labels=labels)
 
 
 def pauli_tensor_basis(d: int) -> UnitaryBasis:
@@ -203,16 +194,16 @@ def matching_basis(d: int) -> UnitaryBasis:
         adj[a, p1[a]] = False
     rest = regular_bipartite_edge_coloring(d, adj, d - 2)
     z = clock_matrix(d)
-    elements, labels = [], []
+    elements, labels = np.empty((d * d, d, d), dtype=complex), []
     for i, image in enumerate([p0, p1] + rest):
         pm = np.zeros((d, d), dtype=complex)
         pm[image, np.arange(d)] = 1.0
         zj = np.eye(d, dtype=complex)
         for j in range(d):
-            elements.append(pm @ zj)
+            elements[i * d + j] = pm @ zj
             labels.append(f"P{i}Z^{j}")
             zj = zj @ z
-    return UnitaryBasis(d=d, elements=tuple(elements), labels=tuple(labels))
+    return UnitaryBasis(d=d, elements=elements, labels=tuple(labels))
 
 
 def werner3_basis(beta: complex) -> UnitaryBasis:
@@ -225,29 +216,29 @@ def werner3_basis(beta: complex) -> UnitaryBasis:
         raise ValueError("beta must be finite with unit modulus")
     x, z = shift_matrix(3), clock_matrix(3)
     m = np.diag([beta, 1.0, 1.0]).astype(complex)
-    elements, labels = [], []
+    elements, labels = np.empty((9, 3, 3), dtype=complex), []
     for i in range(3):
         zi = np.linalg.matrix_power(z, i)
         for j in range(3):
             if j == 1:
-                elements.append(x @ zi @ m)
+                elements[3 * i + j] = x @ zi @ m
                 labels.append(f"XZ^{i}M")
             else:
-                elements.append(np.linalg.matrix_power(x, j) @ zi)
+                elements[3 * i + j] = np.linalg.matrix_power(x, j) @ zi
                 labels.append(f"X^{j}Z^{i}")
-    return UnitaryBasis(d=3, elements=tuple(elements), labels=tuple(labels))
+    return UnitaryBasis(d=3, elements=elements, labels=tuple(labels))
 
 
 def verify_orthogonal_unitary_basis(b: UnitaryBasis, tol: float = nk.DEFAULT_TOL) -> BasisReport:
     """Check element count, unitarity, and pairwise HS orthogonality."""
     d = b.d
-    count_ok = len(b.elements) == d * d
-    e = b.stack
+    e = b.elements
+    count_ok = len(e) == d * d
     worst = np.abs(e.conj().transpose(0, 2, 1) @ e - np.eye(d)).max(axis=(1, 2))
     unit_viol = float(worst.max(initial=0.0))
     flat = e.reshape(len(e), -1)
     gram = flat.conj() @ flat.T
-    orth_viol = float(np.abs(gram - d * np.eye(len(b.elements))).max())
+    orth_viol = float(np.abs(gram - d * np.eye(len(e))).max())
     passed = count_ok and unit_viol <= tol and orth_viol <= tol
     return BasisReport(
         passed=passed,
@@ -391,7 +382,7 @@ def certify_not_clock_shift(
         raise InvalidBasisError(
             "certify_not_clock_shift requires a valid orthogonal unitary basis"
         )
-    e = b.stack
+    e = b.elements
     n = len(e)
     ec = e.conj()
     rows, cols = np.triu_indices(n, 1)
@@ -475,5 +466,9 @@ def apply_basis_equivalence(
     b: UnitaryBasis, phases, v: np.ndarray, w: np.ndarray
 ) -> UnitaryBasis:
     """Map each element U_i to phases[i] * v @ U_i @ w (a known equivalence)."""
-    elements = tuple(ph * (v @ e @ w) for ph, e in zip(phases, b.elements))
+    phases = np.asarray(phases)
+    n = len(b.elements)
+    if phases.shape != (n,):
+        raise ValueError(f"phases: expected one per element, shape ({n},), got {phases.shape}")
+    elements = phases[:, None, None] * (v @ b.elements @ w)
     return UnitaryBasis(d=b.d, elements=elements, labels=b.labels)

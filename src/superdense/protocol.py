@@ -1,8 +1,9 @@
 """Superdense coding protocols: errorless verification and distinguishability.
 
 A protocol is a shared density matrix on A' (x) A'' (x) B together with d^2
-encoding unitaries on A' (x) A''; A'' is the d-dimensional system that gets
-sent.  Factor order everywhere is (A', A'', B), left factor slow.
+encoding unitaries on A' (x) A'', held as one (d^2, dim A, dim A) array;
+A'' is the d-dimensional system that gets sent.  Factor order everywhere is
+(A', A'', B), left factor slow.
 The canonical qubit protocol (`canonical_form`) and a local equivalence to
 it (`CanonicalDecomposition`) live here: `random_scrambled_bw` plants one,
 `rigidity` recovers one.  Every move of a protocol along (V, C_i, W), W a
@@ -33,7 +34,7 @@ class Protocol:
     dim_a_dbl: int  # the message dimension d
     dim_b: int
     tau: np.ndarray
-    encoders: tuple[np.ndarray, ...]
+    encoders: np.ndarray  # (d^2, dim_a, dim_a), encoders[k] the k-th
 
     @property
     def dim_a(self) -> int:
@@ -46,7 +47,8 @@ class Protocol:
     def validate(self, tol: float = nk.DEFAULT_TOL) -> None:
         """Raise InvalidProtocolError naming the first field that fails: the
         state's shape, then its density, each encoder's shape and unitarity,
-        then the encoder count."""
+        then the encoder count.  `encoders` may be any sequence of matrices
+        here, ragged included: this is the check for input from outside."""
         n = self.dim_a * self.dim_b
         if self.tau.shape != (n, n):
             raise InvalidProtocolError("tau", f"shape {self.tau.shape} does not match dims")
@@ -68,14 +70,15 @@ class Protocol:
 class StateEnsemble:
     """States with probabilities; a state is a density matrix or a pure ket.
 
-    `states` is a tuple of states, or one 2-D array whose rows are the kets,
-    which `kets()` hands out without a copy.
+    `states` is np.asarray of the sequence or array passed in: (m, N), one ket
+    per row, which `kets()` hands out without a copy, or (m, N, N) densities.
     """
 
     probs: tuple[float, ...]
-    states: tuple[np.ndarray, ...] | np.ndarray
+    states: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "states", np.asarray(self.states))
         if len(self.probs) != len(self.states):
             raise ValueError("probability/state count mismatch")
 
@@ -92,11 +95,9 @@ class StateEnsemble:
     @property
     def pure(self) -> bool:
         """Every member is a 1-D ket; a density matrix, even of rank 1, is not."""
-        if isinstance(self.states, np.ndarray):
-            return self.states.ndim == 2  # one row per ket
-        return all(s.ndim == 1 for s in self.states)
+        return self.states.ndim == 2  # one row per ket
 
-    def kets(self) -> tuple[np.ndarray, ...] | np.ndarray:
+    def kets(self) -> np.ndarray:
         """The members of a pure ensemble; raises ValueError otherwise."""
         if not self.pure:
             raise ValueError("ensemble members are density matrices, not kets")
@@ -131,7 +132,7 @@ def bennett_wiesner() -> Protocol:
         dim_a_dbl=2,
         dim_b=2,
         tau=np.outer(epr, epr.conj()),
-        encoders=tuple(np.array(s) for s in nk.PAULIS),
+        encoders=np.array(nk.PAULIS),
     )
 
 
@@ -148,7 +149,7 @@ def canonical_protocol(basis) -> Protocol:
         dim_a_dbl=d,
         dim_b=d,
         tau=np.outer(ket, ket.conj()),
-        encoders=tuple(np.array(e) for e in basis.elements),
+        encoders=basis.elements,
     )
 
 
@@ -172,13 +173,11 @@ def canonical_form(rho: np.ndarray, dim_a_prime: int, blocks) -> Protocol:
     entangled state, this is the qubit normal form with an ancilla.
     """
     a1, b1 = dim_a_prime, rho.shape[0] // dim_a_prime
-    encoders = []
-    for sigma in nk.PAULIS:
-        u = np.zeros((2 * a1, 2 * a1), dtype=complex)
-        for p_r, s_r, _sign in blocks:
-            u += nk.tensor(p_r, s_r @ sigma @ s_r.conj().T)
-        encoders.append(u)
-    return Protocol(a1, 2, 2 * b1, canonical_state(rho, a1, b1), tuple(encoders))
+    paulis = np.array(nk.PAULIS)
+    encoders = np.zeros((4, 2 * a1, 2 * a1), dtype=complex)
+    for p_r, s_r, _sign in blocks:
+        encoders += nk.tensor(p_r, s_r @ paulis @ s_r.conj().T)
+    return Protocol(a1, 2, 2 * b1, canonical_state(rho, a1, b1), encoders)
 
 
 def _state_factor(tau: np.ndarray, cut: float = 1e-13) -> np.ndarray:
@@ -193,8 +192,7 @@ def _encoded_factors(p: Protocol) -> np.ndarray:
     c = _state_factor(p.tau)
     rank = c.shape[1]
     c3 = c.reshape(p.dim_a, p.dim_b, rank)
-    stack = np.stack(p.encoders)  # (n, dim_a, dim_a)
-    return np.einsum("iax,xbr->iabr", stack, c3)
+    return np.einsum("iax,xbr->iabr", p.encoders, c3)
 
 
 def encoded_states(p: Protocol) -> StateEnsemble:
@@ -202,13 +200,9 @@ def encoded_states(p: Protocol) -> StateEnsemble:
     e = _encoded_factors(p)
     n = len(p.encoders)
     a1, d, b = p.dims
-    u = d * b
-    e = e.reshape(n, a1, d, b, -1).reshape(n, a1, u, -1)
-    states = []
-    for i in range(n):
-        rho = np.einsum("aur,avr->uv", e[i], e[i].conj())
-        states.append(rho)
-    return StateEnsemble(probs=(1.0 / n,) * n, states=tuple(states))
+    e = e.reshape(n, a1, d * b, -1)
+    states = np.einsum("iaur,iavr->iuv", e, e.conj())
+    return StateEnsemble(probs=(1.0 / n,) * n, states=states)
 
 
 def verify_errorless(p: Protocol, tol: float = nk.DEFAULT_TOL) -> ErrorlessReport:
@@ -240,7 +234,7 @@ def verify_errorless(p: Protocol, tol: float = nk.DEFAULT_TOL) -> ErrorlessRepor
 
     tau_a = nk.partial_trace(p.tau, [p.dim_a, b], [0])
     s = _state_factor(tau_a)
-    z = np.einsum("iax,xr->iar", np.stack(p.encoders), s).reshape(n, a1, d, -1)
+    z = np.einsum("iax,xr->iar", p.encoders, s).reshape(n, a1, d, -1)
     cross = np.einsum("iaur,jbur->ijab", z, z.conj())
     op_norms = np.sqrt(np.einsum("ijab,ijab->ij", cross, cross.conj()).real)
     np.fill_diagonal(op_norms, 0.0)
@@ -260,14 +254,11 @@ def hc_quantity(e: StateEnsemble) -> float:
     if e.pure:
         # for unit kets sum_i p_i^2 rho_i^2 = sum_i |p_i psi_i><p_i psi_i|, whose
         # nonzero spectrum is that of the Gram matrix of the kets p_i psi_i
-        weighted = np.asarray(e.probs)[:, None] * np.asarray(e.kets())
+        weighted = np.asarray(e.probs)[:, None] * e.kets()
         w = np.linalg.eigvalsh(nk.gram(weighted), UPLO="L")
         return float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    acc = None
-    for k, p in enumerate(e.probs):
-        rho = e.density(k)
-        term = (p * p) * (rho @ rho)
-        acc = term if acc is None else acc + term
+    terms = np.square(e.probs)[:, None, None] * (e.states @ e.states)
+    acc = np.add.accumulate(terms)[-1]  # in state order; sum(axis=0) is pairwise on 1 x 1
     w = np.linalg.eigvalsh((acc + acc.conj().T) / 2)
     slack = nk.DEFAULT_TOL * max(1.0, float(np.linalg.norm(acc)))
     return float(np.sqrt(nk.clip_psd_spectrum(w, slack)).sum())
@@ -339,21 +330,21 @@ def apply_local_equivalence(p: Protocol, v, c, w) -> Protocol:
         raise ValueError(f"v must act on A: expected shape {(p.dim_a,) * 2}, got {v.shape}")
     if w.ndim != 2 or w.shape[1] != b:
         raise ValueError(f"w must map B to Bob's space: expected shape (m, {b}), got {w.shape}")
-    n = len(p.encoders)
-    if c is not None and len(c) != n:
-        raise ValueError(f"c must hold one correction per encoder: expected {n}, got {len(c)}")
+    encoders = p.encoders
+    if c is not None:
+        n = len(encoders)
+        if len(c) != n:
+            raise ValueError(f"c must hold one correction per encoder: expected {n}, got {len(c)}")
+        for k, ci in enumerate(c):
+            shape = np.shape(ci)
+            if shape != (a1, a1):
+                raise ValueError(f"c[{k}] must act on A': expected shape {(a1, a1)}, got {shape}")
+        encoders = nk.tensor(np.asarray(c, dtype=complex), np.eye(d)) @ encoders
+    if not v_id:
+        encoders = encoders @ v.conj().T
     vw = nk.tensor(v, w)
     tau = vw @ p.tau @ vw.conj().T
-    eye_d = np.eye(d)
-    encoders = []
-    for k, u in enumerate(p.encoders):
-        if c is not None:
-            ci = np.asarray(c[k], dtype=complex)
-            if ci.shape != (a1, a1):
-                raise ValueError(f"c[{k}] must act on A': expected shape {(a1, a1)}, got {ci.shape}")
-            u = nk.tensor(ci, eye_d) @ u
-        encoders.append(u if v_id else u @ v.conj().T)
-    return Protocol(a1, d, w.shape[0], tau, tuple(encoders))
+    return Protocol(a1, d, w.shape[0], tau, encoders)
 
 
 def _split_sizes(total: int, parts: int) -> list[int]:

@@ -47,6 +47,9 @@ EIGHT_OVER_3PI = 8.0 / (3.0 * math.pi)
 # d = 64 (n = 4096, 805 MB a trial), criterion 6's dimension
 _POOL_ENTRIES = 2**24
 
+# draws per batch of `m_operator_monte_carlo`: 2.6 MB of d^4-entry rows at d = 3
+_MC_BATCH = 2000
+
 
 @dataclass(frozen=True)
 class MPParams:
@@ -254,14 +257,14 @@ def m_operator_closed_form(d: int) -> MOperator:
     return MOperator(d=d, beta=beta, gamma=gamma, matrix=m)
 
 
-def m_operator_monte_carlo(
-    d: int, samples: int, rng: np.random.Generator, batch: int = 2000
-) -> np.ndarray:
-    """Monte-Carlo estimate of E |psi><psi|^(x)2 over Haar draws."""
+def m_operator_monte_carlo(d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Monte-Carlo estimate of E |psi><psi|^(x)2 over `samples` >= 1 Haar draws."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     total = np.zeros((d**4, d**4), dtype=complex)
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(_MC_BATCH, samples - done)
         psi = haar_unitaries(d, m, rng).reshape(m, d * d) / np.sqrt(d)
         # row k is np.kron(psi[k], psi[k]): the same products, in one pass
         phis = (psi[:, :, None] * psi[:, None, :]).reshape(m, d**4)
@@ -280,7 +283,9 @@ def pseudo_isotropy_bound(d: int, a: np.ndarray) -> float:
 def pseudo_isotropy_variance(
     d: int, a: np.ndarray, samples: int, rng: np.random.Generator
 ) -> float:
-    """Empirical variance of <xi| a |xi> with xi = d (U (x) 1)|mes_d>."""
+    """Empirical variance of <xi| a |xi> with xi = d (U (x) 1)|mes_d>, samples >= 1."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     a = np.asarray(a, dtype=complex)
     n = d * d
     if a.shape != (n, n):

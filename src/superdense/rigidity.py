@@ -65,7 +65,7 @@ class NiceFormData:
     protocol: Protocol  # state on A' (x) A'' (x) B' (x) B'', first encoder = 1
     v: np.ndarray  # unitary on A' (x) A''
     w: np.ndarray  # isometry B -> B' (x) B'', shape (2*dim_b_prime, dim_b)
-    c: tuple[np.ndarray, ...]  # 4 unitaries on A'
+    c: np.ndarray  # (4, dim_a_prime, dim_a_prime): a unitary on A' per encoder
     rho: np.ndarray  # density on A' (x) B'
     # positive eigenspaces of rho^{A'}, eigenvalues descending: (lam, orthonormal basis)
     eigenspaces: tuple[tuple[float, np.ndarray], ...]
@@ -79,22 +79,23 @@ class BlockForm:
     ``blocks[i]`` lists (Q, R) pairs: Q a projector on A', R a traceless
     Hermitian unitary on the qubit.  The Q's of one encoder are orthogonal
     and sum to the support projector.  ``corrections[i]`` is the Alice-side
-    unitary already applied to reach this form.
+    unitary already applied to reach this form, one (3, a, a) stack.
     """
 
     blocks: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
-    corrections: tuple[np.ndarray, ...]
+    corrections: np.ndarray
     support: np.ndarray
 
 
 @dataclass(frozen=True)
 class MatchedBlocks:
     """Coarsest common refinement of the encoders' blocks, one 2x2 triple
-    (encoders 2, 3, 4) per projector."""
+    (encoders 2, 3, 4) per projector, and each encoder's sign correction
+    in one (3, a, a) stack."""
 
     k_projectors: tuple[np.ndarray, ...]
     triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    sign_corrections: tuple[np.ndarray, ...]
+    sign_corrections: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,8 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
     cols = np.hstack([basis for _, basis in groups])  # zeta's eigenvectors, descending
     support = sum(basis @ basis.conj().T for _, basis in positive)
 
-    cs = [np.eye(a1, dtype=complex)]
+    cs = np.empty((4, a1, a1), dtype=complex)
+    cs[0] = np.eye(a1)
     for i, u in enumerate(gauged.encoders[1:], start=1):
         m_i = u @ tau_a @ u.conj().T
         zeta_i = nk.partial_trace(m_i, [a1, 2], [0])
@@ -197,15 +199,14 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         w_i, v_i = np.linalg.eigh((zeta_i + zeta_i.conj().T) / 2)
         w_i, v_i = w_i[::-1], v_i[:, ::-1]
         _check("item3", f"encoder {i}: eigenvalue past the rank", w_i[rank:].max(initial=0.0), cut)
-        c_i = cols[:, rank:] @ v_i[:, rank:].conj().T
+        cs[i] = cols[:, rank:] @ v_i[:, rank:].conj().T
         start = 0
         for lam, basis in positive:
             stop = start + basis.shape[1]
             shift = np.abs(w_i[start:stop] - lam).max()
             _check("item3", f"encoder {i}: eigenvalue shift", shift, group_tol * 10)
-            c_i += basis @ v_i[:, start:stop].conj().T
+            cs[i] += basis @ v_i[:, start:stop].conj().T
             start = stop
-        cs.append(c_i)
     nice = apply_local_equivalence(gauged, None, cs, w_iso)
 
     item2_resid = nk.trace_distance(nice.tau, canonical_state(rho, a1, dim_b_prime))
@@ -225,7 +226,7 @@ def to_nice_form(p: Protocol, tol: float = DEFAULT_STAGE_TOL) -> NiceFormData:
         protocol=nice,
         v=v,
         w=w_iso,
-        c=tuple(cs),
+        c=cs,
         rho=rho,
         eigenspaces=positive,
         support=support,
@@ -268,12 +269,13 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
     for m, idx in by_dim.items():
         bases = np.stack([items[j][1] for j in idx])
         basis2 = nk.tensor(bases, ID2)
-        mat = _adj(basis2) @ np.stack([n.protocol.encoders[items[j][0]] for j in idx]) @ basis2
+        mat = _adj(basis2) @ n.protocol.encoders[[items[j][0] for j in idx]] @ basis2
         unit[idx] = nk.frobenius(mat @ _adj(mat) - np.eye(2 * m))
         trace[idx] = nk.frobenius(mat[:, 0::2, 0::2] + mat[:, 1::2, 1::2])
         live = np.logical_and.accumulate((unit[idx] <= limit) & (trace[idx] <= limit)).sum()
         stages.update(zip(idx, _stacked_blocks(mat[:live], bases[:live], tol)))
-    all_blocks, corrections = ([], [], []), [np.eye(a1, dtype=complex) - n.support] * 3
+    all_blocks = ([], [], [])
+    corrections = np.repeat([np.eye(a1, dtype=complex) - n.support], 3, axis=0)
     for j, (i, basis) in enumerate(items):
         _check("block-restriction", "encoder block unitarity residual", unit[j], limit)
         _check("block-traceless", "diagonal block sum", trace[j], limit)
@@ -289,8 +291,8 @@ def block_diagonalize(n: NiceFormData, tol: float = DEFAULT_STAGE_TOL) -> BlockF
             all_blocks[i - 1].append((q, _reflection(alpha, lam, 1, limit)))
         else:
             all_blocks[i - 1].extend(_phase_blocks(basis, *phases, group_tol, limit))
-        corrections[i - 1] = corrections[i - 1] + correction
-    return BlockForm(tuple(map(tuple, all_blocks)), tuple(corrections), n.support)
+        corrections[i - 1] += correction
+    return BlockForm(tuple(map(tuple, all_blocks)), corrections, n.support)
 
 
 def _stacked_blocks(mat: np.ndarray, bases: np.ndarray, tol: float) -> list[tuple]:
@@ -396,22 +398,20 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
     a1 = bf.support.shape[0]
     merge_thr = tol * math.sqrt(2.0)
     coarse: list[list[list]] = []  # per encoder: [Q, R]
-    sign_ops = []
-    for enc_blocks in bf.blocks:
+    sign_ops = np.repeat([np.eye(a1, dtype=complex) - bf.support], len(bf.blocks), axis=0)
+    for sgn, enc_blocks in zip(sign_ops, bf.blocks):
         groups: list[list] = []
-        sgn = np.eye(a1, dtype=complex) - bf.support
         for q, r in enc_blocks:
             hit = next(((g, s) for g in groups for s in (1.0, -1.0)
                         if np.linalg.norm(r - s * g[1]) <= merge_thr), None)
             if hit is None:
                 groups.append([q, r])
-                sgn = sgn + q
+                sgn += q
             else:
                 g, s = hit
                 g[0] = g[0] + q
-                sgn = sgn + s * q
+                sgn += s * q
         coarse.append(groups)
-        sign_ops.append(sgn)
 
     k_projectors, triples = [], []
     for (q2, r2), (q3, r3), (q4, r4) in itertools.product(*coarse):
@@ -429,7 +429,7 @@ def match_blocks(bf: BlockForm, tol: float = DEFAULT_STAGE_TOL) -> MatchedBlocks
     return MatchedBlocks(
         k_projectors=tuple(k_projectors),
         triples=tuple(triples),
-        sign_corrections=tuple(sign_ops),
+        sign_corrections=sign_ops,
     )
 
 
@@ -500,22 +500,16 @@ def canonicalize(
     for k_r, (_, sign) in zip(mb.k_projectors, frames):
         orient += sign * k_r
 
-    cs = []
-    for i in range(4):
-        if i == 0:
-            total = nf.c[0]
-        else:
-            total = mb.sign_corrections[i - 1] @ bf.corrections[i - 1] @ nf.c[i]
-        if i == 3:
-            total = orient @ total
-        cs.append(total.conj().T)
+    totals = np.concatenate((nf.c[:1], mb.sign_corrections @ bf.corrections @ nf.c[1:]))
+    totals[3] = orient @ totals[3]
+    cs = tuple(_adj(totals))
 
     blocks = [
         (k_r, frame[0], frame[1]) for k_r, frame in zip(mb.k_projectors, frames)
     ]
     if np.trace(residual).real > 0.5:
         blocks.append((residual, np.eye(2, dtype=complex), 1))
-    dec = CanonicalDecomposition(v=nf.v, w=nf.w, c=tuple(cs), rho=nf.rho, blocks=tuple(blocks))
+    dec = CanonicalDecomposition(v=nf.v, w=nf.w, c=cs, rho=nf.rho, blocks=tuple(blocks))
     report = verify_decomposition(p, dec, tol)
     _check("verify", "state residual", report.state_residual, tol)
     _check("verify", "encoder residual", np.max(report.encoder_residuals), tol)

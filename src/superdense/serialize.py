@@ -116,10 +116,10 @@ def _matrix(m: np.ndarray, level: int) -> str:
 
 
 def _encode(obj: Any, level: int) -> str:
-    """`obj` as json.dumps(obj, indent=1) writes it `level` containers deep,
-    with a dataclass instance written as its fields, an ndarray as a complex
-    matrix and a complex number as a [re, im] pair."""
-    if isinstance(obj, np.ndarray):
+    """`obj` as json.dumps(obj, indent=1) writes it `level` containers deep, with a
+    dataclass instance written as its fields, an ndarray as a complex matrix (an
+    (n, r, c) stack as a list of n) and a complex number as a [re, im] pair."""
+    if isinstance(obj, np.ndarray) and obj.ndim <= 2:
         return _matrix(obj, level)
     if isinstance(obj, complex):
         obj = [obj.real, obj.imag]
@@ -130,7 +130,7 @@ def _encode(obj: Any, level: int) -> str:
             raise TypeError("JSON object keys must be strings")
         items = [f"{json.dumps(key)}: {_encode(val, level + 1)}" for key, val in obj.items()]
         brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         items = [_encode(val, level + 1) for val in obj]
         brackets = "[]"
     else:
@@ -144,9 +144,9 @@ def _encode(obj: Any, level: int) -> str:
 def emit(doc: Any, path: str | None = None) -> None:
     """Write `doc` as JSON to a file or stdout, byte for byte as
     json.dumps(doc, indent=1) writes its list form: a dataclass instance
-    becomes its field dict, an ndarray a matrix of [re, im] pairs and a
-    complex number a [re, im] pair.  Floats are written by repr, NaN and
-    infinities as json's NaN and Infinity tokens."""
+    becomes its field dict, an ndarray a matrix of [re, im] pairs (a stack a
+    list of them) and a complex number a [re, im] pair.  Floats are written
+    by repr, NaN and infinities as json's NaN and Infinity tokens."""
     write_text(_encode(doc, 0) + "\n", path)
 
 
@@ -175,13 +175,13 @@ def save_basis(b: UnitaryBasis, path: str | None) -> None:
     emit(doc, path)
 
 
-def _matrix_list(doc: dict, key: str, path: str) -> list[np.ndarray]:
-    """The matrices of the list field `key`, read in one pass when they share
-    a shape.  Otherwise they are read one by one, so that an error names the
-    first bad matrix, `key[k]`."""
+def _matrix_list(doc: dict, key: str, path: str) -> np.ndarray | list[np.ndarray]:
+    """The matrices of the list field `key` as one (n, r, c) array, read in one pass,
+    when they share a shape.  Otherwise they are read one by one, so that an error
+    names the first bad matrix, `key[k]`; a ragged list is returned as a list."""
     data = _require_list(doc, key, path)
     try:
-        return list(_complex_array(data, 3))
+        return _complex_array(data, 3)
     except (TypeError, ValueError, OverflowError):
         return [matrix_from_json(m, path, f"{key}[{k}]") for k, m in enumerate(data)]
 
@@ -203,9 +203,7 @@ def load_basis(path: str) -> UnitaryBasis:
     if labels is not None and len(labels) != d * d:
         raise SerializationError(path, "labels", f"expected {d * d} labels, got {len(labels)}")
     try:
-        return UnitaryBasis(
-            d=d, elements=tuple(elements), labels=tuple(labels) if labels else None
-        )
+        return UnitaryBasis(d=d, elements=elements, labels=tuple(labels) if labels else None)
     except ValueError as exc:
         raise SerializationError(path, "elements", str(exc)) from exc
 
@@ -223,7 +221,7 @@ def load_protocol(path: str) -> Protocol:
             raise SerializationError(path, key, f"expected a positive integer, got {val!r}")
         dims[key] = val
     tau = matrix_from_json(_require(doc, "tau", path), path, "tau")
-    encoders = tuple(_matrix_list(doc, "encoders", path))
+    encoders = _matrix_list(doc, "encoders", path)
     p = Protocol(dims["dim_a_prime"], dims["dim_a_dbl"], dims["dim_b"], tau, encoders)
     try:
         p.validate()

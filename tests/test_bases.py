@@ -220,6 +220,58 @@ class TestTensorProductBasis:
         assert bases.verify_orthogonal_unitary_basis(b).passed
 
 
+class TestElementStack:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bases.clock_shift_basis(3),
+            lambda: bases.pauli_tensor_basis(8),
+            lambda: bases.matching_basis(5),
+            lambda: bases.werner3_basis(1j),
+            lambda: bases.tensor_product_basis(
+                bases.clock_shift_basis(2), bases.clock_shift_basis(3)
+            ),
+            lambda: random_equivalence(bases.matching_basis(6), np.random.default_rng(5)),
+        ],
+        ids=["clock-shift", "pauli-tensor", "matching", "werner3", "tensor-product", "equivalence"],
+    )
+    def test_builders_return_one_stack(self, build):
+        b = build()
+        assert isinstance(b.elements, np.ndarray)
+        assert b.elements.shape == (b.d**2, b.d, b.d) and b.elements.dtype == complex
+
+    def test_sequence_is_stored_as_one_array(self):
+        b = bases.UnitaryBasis(d=2, elements=[ID2, PAULI_Z, PAULI_X, PAULI_Y])
+        assert isinstance(b.elements, np.ndarray) and b.elements.shape == (4, 2, 2)
+
+    def test_tensor_product_order_labels_and_bits(self):
+        b1 = bases.clock_shift_basis(2)
+        b2 = bases.UnitaryBasis(d=3, elements=bases.clock_shift_basis(3).elements)
+        b = bases.tensor_product_basis(b1, b2)
+        for i in range(4):
+            for j in range(9):
+                k = 9 * i + j
+                assert b.elements[k].tobytes() == np.kron(b1.elements[i], b2.elements[j]).tobytes()
+                assert b.labels[k] == f"({b1.labels[i]})x({j})"
+
+    def test_equivalence_has_the_bits_of_one_element_at_a_time(self):
+        rng = np.random.default_rng(31)
+        b = bases.matching_basis(5)
+        phases = np.exp(2j * np.pi * rng.random(25))
+        v, w = haar(5, rng), haar(5, rng)
+        moved = bases.apply_basis_equivalence(b, phases, v, w)
+        for ph, e, got in zip(phases, b.elements, moved.elements, strict=True):
+            assert got.tobytes() == (ph * (v @ e @ w)).tobytes()
+        assert moved.labels == b.labels
+
+    @pytest.mark.parametrize("count", [5, 12])
+    def test_equivalence_rejects_a_phase_count_other_than_d2(self, count):
+        b = bases.clock_shift_basis(3)
+        message = rf"phases: expected one per element, shape \(9,\), got \({count},\)"
+        with pytest.raises(ValueError, match=message):
+            bases.apply_basis_equivalence(b, np.ones(count), np.eye(3), np.eye(3))
+
+
 class TestSmallestNondividing:
     @pytest.mark.parametrize("d,expected", [(5, 2), (6, 4), (12, 5)])
     def test_examples(self, d, expected):
@@ -357,7 +409,7 @@ class TestWerner3:
 class TestVerify:
     def test_duplicated_element_fails(self):
         cs = bases.clock_shift_basis(2)
-        broken = bases.UnitaryBasis(d=2, elements=(cs.elements[0],) * 2 + cs.elements[2:])
+        broken = bases.UnitaryBasis(d=2, elements=cs.elements[[0, 0, 2, 3]])
         report = bases.verify_orthogonal_unitary_basis(broken)
         assert not report.passed
         assert report.max_orthogonality_violation == pytest.approx(2.0)

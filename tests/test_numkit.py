@@ -498,8 +498,9 @@ class TestHaarUnitaries:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_m_operator_monte_carlo(self, d):
-        samples, batch = 500, 200
-        mc = rl.m_operator_monte_carlo(d, samples, np.random.default_rng([59, d]), batch=batch)
+        batch = rl._MC_BATCH
+        samples = batch + 300  # crosses one batch boundary
+        mc = rl.m_operator_monte_carlo(d, samples, np.random.default_rng([59, d]))
         # reference: one draw and one np.kron per row
         rng = np.random.default_rng([59, d])
         total = np.zeros((d**4, d**4), dtype=complex)

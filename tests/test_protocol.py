@@ -46,8 +46,8 @@ class TestBennettWiesner:
         [
             (lambda p: {"tau": np.eye(3) / 3}, "tau"),
             (lambda p: {"tau": np.zeros((4, 4))}, "tau"),
-            (lambda p: {"encoders": (p.encoders[0], np.eye(3)) + p.encoders[2:]}, "encoders[1]"),
-            (lambda p: {"encoders": p.encoders[:2] + (2 * p.encoders[2],) + p.encoders[3:]},
+            (lambda p: {"encoders": (p.encoders[0], np.eye(3), *p.encoders[2:])}, "encoders[1]"),
+            (lambda p: {"encoders": (*p.encoders[:2], 2 * p.encoders[2], *p.encoders[3:])},
              "encoders[2]"),
             (lambda p: {"encoders": p.encoders[:3]}, "encoders"),
             # encoders are checked one by one before their count
@@ -243,6 +243,22 @@ class TestHolevoCurlander:
         expected = np.trace(nk.psd_sqrt(acc)).real
         assert pr.hc_quantity(e) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_mixed_state_sum_runs_in_state_order(self, n):
+        # the bits of one product and one sum per state, at 1 x 1 as well
+        rng = np.random.default_rng([7, n])
+        g = rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
+        states = g @ g.conj().swapaxes(1, 2)
+        states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+        probs = tuple(rng.dirichlet(np.ones(9)).tolist())
+        acc = (probs[0] * probs[0]) * (states[0] @ states[0])
+        for p, rho in zip(probs[1:], states[1:]):
+            acc = acc + (p * p) * (rho @ rho)
+        w = np.linalg.eigvalsh((acc + acc.conj().T) / 2)
+        slack = nk.DEFAULT_TOL * max(1.0, float(np.linalg.norm(acc)))
+        expected = np.sqrt(nk.clip_psd_spectrum(w, slack)).sum()
+        assert repr(pr.hc_quantity(pr.StateEnsemble(probs, states))) == repr(float(expected))
+
 
 class TestPgm:
     def test_orthogonal(self):
@@ -402,7 +418,7 @@ class TestPureSplit:
     def test_pure_flag_and_kets(self):
         ket_ens, rank1_ens = self.ensembles()
         assert ket_ens.pure and not rank1_ens.pure
-        assert ket_ens.kets() == ket_ens.states
+        assert ket_ens.kets() is ket_ens.states
         with pytest.raises(ValueError):
             rank1_ens.kets()
 
@@ -520,6 +536,60 @@ class TestCanonicalForm:
         assert proc.returncode == 0, proc.stderr
         assert "'superdense.protocol'" in proc.stdout
         assert "'superdense.rigidity'" not in proc.stdout
+
+
+def encoder_producers():
+    rng = np.random.default_rng(37)
+    scrambled, planted = pr.random_scrambled_bw(rng, 2, 3, 2)
+    moved = pr.apply_local_equivalence(
+        scrambled, haar(4, rng), [haar(2, rng) for _ in range(4)], haar(8, rng)[:, :6]
+    )
+    return [
+        pr.bennett_wiesner(),
+        pr.canonical_protocol(bases.matching_basis(5)),
+        pr.canonical_form(planted.rho, 2, planted.blocks),
+        moved,
+        scrambled,
+    ]
+
+
+class TestEncoderStack:
+    @pytest.mark.parametrize(
+        "p", encoder_producers(),
+        ids=["bennett-wiesner", "canonical-protocol", "canonical-form", "local-equivalence",
+             "scrambled"],
+    )
+    def test_producers_return_one_stack(self, p):
+        assert isinstance(p.encoders, np.ndarray)
+        assert p.encoders.shape == (p.dim_a_dbl**2, p.dim_a, p.dim_a)
+        states = pr.encoded_states(p).states
+        n = p.dim_a_dbl * p.dim_b
+        assert isinstance(states, np.ndarray) and states.shape == (p.dim_a_dbl**2, n, n)
+
+    def test_local_equivalence_has_the_bits_of_one_encoder_at_a_time(self):
+        rng = np.random.default_rng(41)
+        p, _ = pr.random_scrambled_bw(rng, 3, 2, 2)
+        v, w = haar(6, rng), haar(4, rng)
+        cs = [haar(3, rng) for _ in range(4)]
+        q = pr.apply_local_equivalence(p, v, cs, w)
+        for c_i, u, got in zip(cs, p.encoders, q.encoders, strict=True):
+            assert got.tobytes() == (nk.tensor(c_i, np.eye(2)) @ u @ v.conj().T).tobytes()
+
+    def test_canonical_form_has_the_bits_of_one_pauli_at_a_time(self):
+        _, planted = pr.random_scrambled_bw(np.random.default_rng(43), 3, 3, 2)
+        p = pr.canonical_form(planted.rho, 3, planted.blocks)
+        for sigma, got in zip(nk.PAULIS, p.encoders, strict=True):
+            u = np.zeros((6, 6), dtype=complex)
+            for p_r, s_r, _ in planted.blocks:
+                u += nk.tensor(p_r, s_r @ sigma @ s_r.conj().T)
+            assert got.tobytes() == u.tobytes()
+
+    def test_ensemble_stores_one_array(self):
+        kets = [np.eye(3)[k] for k in range(3)]
+        pure = pr.StateEnsemble((1 / 3,) * 3, kets)
+        mixed = pr.StateEnsemble((1 / 3,) * 3, [np.outer(k, k) for k in kets])
+        assert pure.states.shape == (3, 3) and pure.pure
+        assert mixed.states.shape == (3, 3, 3) and not mixed.pure
 
 
 class TestRandomScrambledBW:

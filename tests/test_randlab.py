@@ -243,6 +243,11 @@ class TestMOperator:
         assert np.trace(m.matrix).real == pytest.approx(1.0)
         assert nk.is_hermitian(m.matrix, 1e-12)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_monte_carlo_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            rl.m_operator_monte_carlo(2, samples, np.random.default_rng(13))
+
     def test_monte_carlo_agrees(self):
         rng = np.random.default_rng(13)
         m = rl.m_operator_closed_form(2)
@@ -268,6 +273,11 @@ class TestPseudoIsotropy:
         a = fourier[:, : n // 2] @ fourier[:, : n // 2].conj().T
         var = rl.pseudo_isotropy_variance(d, a, 2000, rng)
         assert 0 < var < rl.pseudo_isotropy_bound(d, a)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            rl.pseudo_isotropy_variance(3, np.eye(9), samples, np.random.default_rng(17))
 
     def test_rejects_large_norm(self):
         rng = np.random.default_rng(23)

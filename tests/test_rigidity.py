@@ -229,7 +229,7 @@ class TestToNiceForm:
 
     def test_rejects_noisy_protocol(self):
         bw = pr.bennett_wiesner()
-        bad = pr.Protocol(1, 2, 2, bw.tau, (bw.encoders[0],) * 2 + bw.encoders[2:])
+        bad = pr.Protocol(1, 2, 2, bw.tau, bw.encoders[[0, 0, 2, 3]])
         with pytest.raises(rg.NiceFormError) as err:
             rg.to_nice_form(bad)
         assert err.value.item == "errorless"

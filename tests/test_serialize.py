@@ -17,7 +17,9 @@ from superdense.rigidity import CanonicalDecomposition
 
 def list_form(obj):
     """The document json.dumps wrote before: each matrix as rows of [re, im]
-    pairs, each complex number as one pair."""
+    pairs, a stack of matrices as their list, each complex number as one pair."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 3:
+        return [list_form(m) for m in obj]
     if isinstance(obj, np.ndarray):
         m = np.atleast_2d(np.asarray(obj, dtype=complex))
         return [[[float(z.real), float(z.imag)] for z in row] for row in m]
@@ -147,3 +149,23 @@ def test_decomposition_round_trip_is_bit_exact(tmp_path_factory, v, data):
         assert got.shape == want.shape
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
     assert loaded.blocks[0][2] == -1
+
+
+def test_loaders_keep_the_stack_they_read(tmp_path, monkeypatch):
+    real, stacks = serialize._complex_array, []
+
+    def spy(data, depth):
+        out = real(data, depth)
+        if depth == 3:
+            stacks.append(out)
+        return out
+
+    monkeypatch.setattr(serialize, "_complex_array", spy)
+    path = str(tmp_path / "basis.json")
+    serialize.save_basis(bases.matching_basis(5), path)
+    b = serialize.load_basis(path)
+    assert b.elements is stacks[-1] and b.elements.shape == (25, 5, 5)
+    path = str(tmp_path / "protocol.json")
+    serialize.save_protocol(pr.random_scrambled_bw(np.random.default_rng(3), 2, 2, 2)[0], path)
+    p = serialize.load_protocol(path)
+    assert p.encoders is stacks[-1] and p.encoders.shape == (4, 4, 4)
